@@ -12,8 +12,8 @@ from .fields import (CellScalarField, DualGridField, FieldError,
                      reconstruct_face_to_pair, velocity_inner)
 from .solver import (PicardDivergenceError, SimulationResult, SolverConfig,
                      SolverError, StepSolver, TimeState, TransportSolveError,
-                     advance_timestep, initial_state, momentum_solve,
-                     run_simulation, transport_solve)
+                     advance_timestep, initial_state, run_simulation,
+                     transport_solve)
 from .problems import (Problem, constant_viscosity, linear_viscosity,
                        make_problem, table_viscosity)
 from .verification import (DiagnosticsRecord, check_dualities, check_fortin,

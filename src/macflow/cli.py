@@ -25,24 +25,9 @@ EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
 
-def _limit_threads(n):
-    if n == 1:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, "1")
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        pass
-
-
 def _add_common(parser):
     parser.add_argument("--config", required=True, help="JSON configuration file")
     parser.add_argument("--output-dir", default=".", help="directory for outputs")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized verification trials")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="BLAS/assembly thread cap (1 = reproducible)")
 
 
 def build_parser():
@@ -68,6 +53,8 @@ def build_parser():
     _add_common(p_ver)
     p_ver.add_argument("--trials", type=int, default=100,
                        help="random trials per identity")
+    p_ver.add_argument("--seed", type=int, default=0,
+                       help="seed for randomized verification trials")
 
     return parser
 
@@ -155,8 +142,7 @@ def _cmd_convergence(args):
             problem_params=problem_cfg.get("params"),
             solver_kwargs={k: v for k, v in setup.raw.get("solver", {}).items()
                            if k in ("picard_tol", "picard_max", "linear_tol",
-                                    "advection_scheme", "quadrature_order",
-                                    "linear_solver")},
+                                    "advection_scheme", "quadrature_order")},
             reference_n=conv["reference_n"],
             forcing_time=setup.problem.forcing_time,
             progress=lambda msg: print(msg, flush=True),
@@ -212,7 +198,6 @@ def _cmd_verify(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    _limit_threads(args.threads)
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -8,12 +8,13 @@ Schema (all sections except ``mesh``/``problem``/``solver`` optional):
 - ``problem``: ``{"name": str, "params": {...}}``.
 - ``solver``: ``dt``, ``t_end``, and optionally ``picard_tol``,
   ``picard_max``, ``linear_tol``, ``advection_scheme``, ``quadrature_order``,
-  ``output_every``, ``linear_solver``, ``forcing_time``.
+  ``output_every``, ``forcing_time``; any other key is an error.
 - ``output``: ``vtk``, ``staggered``, ``diagnostics``, ``snapshot_prefix``,
   ``dump_operators``.
 - ``convergence``: ``levels``, ``dt_coarsest``, ``t_end``, ``reference_n``.
 """
 
+import dataclasses
 import json
 
 from .mesh import AxisPartition, MeshError, build_mesh
@@ -75,13 +76,17 @@ def parse_mesh(cfg, path="mesh"):
 
 
 def parse_solver(cfg, path="solver"):
+    known = {f.name for f in dataclasses.fields(SolverConfig)} | {"forcing_time"}
+    for key in cfg:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}", "unknown key")
     dt = _expect(cfg, "dt", path, (int, float), required=True)
     t_end = _expect(cfg, "t_end", path, (int, float), required=True)
     kwargs = {}
     for key, types in (("picard_tol", (int, float)), ("picard_max", int),
                        ("linear_tol", (int, float)),
                        ("advection_scheme", str), ("quadrature_order", int),
-                       ("output_every", int), ("linear_solver", str)):
+                       ("output_every", int)):
         if key in cfg:
             kwargs[key] = cfg[key]
     try:

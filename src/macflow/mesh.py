@@ -247,17 +247,6 @@ class MacMesh:
         ]
         return self._outer(arrays)
 
-    def pair_exterior_mask(self, i, j):
-        """Dual-dual cells whose dual face sits on the boundary plane of axis
-        j (exterior members of the i-th dual mesh for i != j)."""
-        if i == j:
-            return np.zeros(self.cells_shape, dtype=bool)
-        mask = np.zeros(self.pair_shape(i, j), dtype=bool)
-        sl = [slice(None)] * self.dim
-        sl[j] = [0, self.n[j]]
-        mask[tuple(sl)] = True
-        return mask
-
     # -- dual-face ids (faces of the i-th dual mesh) ----------------------------
 
     def _parallel_shape(self, i):

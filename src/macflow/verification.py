@@ -25,8 +25,8 @@ __all__ = [
     "check_inequalities",
     "check_fortin",
     "step_audit",
+    "coupled_residuals",
     "kinetic_energy",
-    "velocity_l2",
     "EXACT_IDENTITY_TOL",
 ]
 
@@ -64,10 +64,6 @@ class DiagnosticsRecord:
             val = getattr(self, f.name)
             if isinstance(val, float) and not math.isfinite(val):
                 raise ValueError(f"non-finite diagnostics entry {f.name}")
-
-
-def velocity_l2(u: VelocityField) -> float:
-    return norm_l2(u)
 
 
 def kinetic_energy(rho_dual, u: VelocityField) -> float:
@@ -383,6 +379,46 @@ def check_fortin(mesh: MacMesh, order=7) -> dict:
 
 # -- step audit ---------------------------------------------------------------------
 
+def coupled_residuals(prev, rho_new, rho_dual_new, u_new, p, mu_t, fluxes,
+                      forcing, dt, scheme):
+    """Relative residuals ``(mass, momentum)`` of the coupled step equations
+    from ``prev`` (a time state) to the candidate ``(rho_new, u_new, p)``.
+
+    ``fluxes`` are the mass fluxes of ``(rho_new, u_new)`` and ``mu_t`` the
+    viscosity tensor of ``rho_new``.  Each residual is the dual-volume
+    (cell-volume for the mass balance) weighted L2 norm of the equation,
+    relative to the norm of its time term (mass) or to the root sum of
+    squares of the norms of its separate terms (momentum)."""
+    mesh = rho_new.mesh
+    cell_vols = mesh.cell_volumes.ravel()
+    mass_r = ((rho_new.values - prev.rho.values) / dt
+              + ops.mass_divergence(fluxes).values)
+    mass_res = float(np.sqrt(np.dot(cell_vols, mass_r ** 2)))
+    mass_scale = float(np.sqrt(np.dot(cell_vols, (prev.rho.values / dt) ** 2)))
+
+    conv = ops.convection_apply(fluxes, u_new, scheme)
+    diff = ops.diffusion_apply(mu_t, u_new)
+    grad = ops.pressure_gradient(p)
+    res_sq = 0.0
+    scale_sq = 0.0
+    for i in range(mesh.dim):
+        vols = mesh.dual_volumes(i).ravel()
+        interior = mesh.interior_mask(i).ravel()
+        time_term = (rho_dual_new[i].ravel() * u_new.components[i]
+                     - prev.rho_dual[i].ravel() * prev.u.components[i]) / dt
+        terms = [time_term, conv.components[i], -diff.components[i],
+                 grad.components[i]]
+        if forcing is not None:
+            terms.append(-np.asarray(forcing[i]).ravel())
+        r = np.zeros(mesh.n_faces(i))
+        for term in terms:
+            r += term
+            scale_sq += float(np.dot(vols[interior], term.ravel()[interior] ** 2))
+        res_sq += float(np.dot(vols[interior], r[interior] ** 2))
+    return (_rel(mass_res, mass_scale),
+            _rel(np.sqrt(res_sq), np.sqrt(scale_sq)))
+
+
 def step_audit(prev, next_state, cfg, mu_law=None, forcing=None,
                picard_iterations=0, step=0) -> DiagnosticsRecord:
     """Populate a diagnostics record from two consecutive states; violations
@@ -394,13 +430,7 @@ def step_audit(prev, next_state, cfg, mu_law=None, forcing=None,
     violations = []
 
     fluxes = ops.mass_fluxes(rho_np1, u_np1)
-    mass_res_field = ((rho_np1.values - rho_n.values) / dt
-                      + ops.mass_divergence(fluxes).values)
     vols = mesh.cell_volumes.ravel()
-    mass_res = float(np.sqrt(np.dot(vols, mass_res_field ** 2)))
-    mass_scale = float(np.sqrt(np.dot(vols, (rho_n.values / dt) ** 2)))
-    mass_residual = _rel(mass_res, mass_scale)
-
     total_mass = float(np.dot(vols, rho_np1.values))
     prev_mass = float(np.dot(vols, rho_n.values))
     mass_drift = _rel(abs(total_mass - prev_mass), abs(prev_mass))
@@ -431,6 +461,9 @@ def step_audit(prev, next_state, cfg, mu_law=None, forcing=None,
         violations.append("divergence")
 
     mu_t = ops.viscosity_tensor(rho_np1, mu_law or (lambda r: np.ones_like(r)))
+    mass_residual, momentum_residual = coupled_residuals(
+        prev, rho_np1, next_state.rho_dual, u_np1, next_state.p, mu_t, fluxes,
+        forcing, dt, cfg.advection_scheme)
     dissipation = ops.strain_product(mu_t, u_np1)
     e_new = kinetic_energy(next_state.rho_dual, u_np1)
     e_old = kinetic_energy(prev.rho_dual, prev.u)
@@ -454,13 +487,6 @@ def step_audit(prev, next_state, cfg, mu_law=None, forcing=None,
             violations.append("kinetic_energy_identity")
     elif energy_residual > tol:
         violations.append("kinetic_energy_inequality")
-
-    # momentum residual recomputed from the fields
-    from .solver import _momentum_residual
-    mom_res, mom_scale = _momentum_residual(
-        mesh, list(next_state.rho_dual), list(prev.rho_dual), u_np1, prev.u,
-        next_state.p, mu_t, fluxes, forcing, dt, cfg.advection_scheme)
-    momentum_residual = _rel(mom_res, mom_scale)
 
     return DiagnosticsRecord(
         step=step,

@@ -35,3 +35,20 @@ def random_velocity(mesh, rng):
 def random_cells(mesh, rng, lo=-1.0, hi=1.0):
     from macflow.fields import CellScalarField
     return CellScalarField(mesh, rng.uniform(lo, hi, mesh.n_cells))
+
+
+class SpluFault:
+    """Stand-in for ``scipy.sparse.linalg.splu`` that counts its calls and
+    raises RuntimeError, as SuperLU does on a singular matrix, from call
+    ``fail_from`` on (1-based; None never fails)."""
+
+    def __init__(self, real, fail_from=None):
+        self.real = real
+        self.fail_from = fail_from
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        if self.fail_from is not None and self.calls >= self.fail_from:
+            raise RuntimeError("Factor is exactly singular")
+        return self.real(*args, **kwargs)

@@ -6,8 +6,8 @@ import pytest
 
 from macflow import operators as ops
 from macflow.fields import CellScalarField, VelocityField, norm_h1
-from macflow.mesh import build_mesh
-from macflow.solver import transport_solve
+from macflow.mesh import AxisPartition, build_mesh
+from macflow.solver import StepSolver, transport_solve
 from macflow.verification import check_dualities
 
 
@@ -46,3 +46,16 @@ def test_norms_and_strain_in_3d(mesh3d, rng):
     assert norm_h1(u) ** 2 == pytest.approx(ops.gradient_inner(u, u), rel=1e-12)
     strain = ops.strain_tensor(u)
     assert set(strain) == {(i, j) for i in range(3) for j in range(3)}
+
+
+def test_saddle_solve_is_divergence_free_on_stretched_3d(rng):
+    mesh = build_mesh([AxisPartition.geometric(0.0, 1.0, 6, 3.0)] * 3)
+    rho = CellScalarField(mesh, rng.uniform(1.0, 2.0, mesh.n_cells))
+    mu_t = ops.viscosity_tensor(rho, lambda r: 0.1 + 0.1 * r)
+    adv = VelocityField.from_interior(
+        mesh, [rng.uniform(-1, 1, mesh.faces_shape(i)) for i in range(3)])
+    f = [rng.uniform(-1, 1, mesh.faces_shape(i)) for i in range(3)]
+    rho_dual = ops.dual_cell_density(rho)
+    u, _, _ = StepSolver(mesh).momentum_solve(
+        rho_dual, rho_dual, adv, ops.mass_fluxes(rho, adv), mu_t, f, 0.01)
+    assert np.max(np.abs(ops.divergence(u).values)) <= 1e-12

@@ -3,7 +3,9 @@ import json
 import os
 
 import pytest
+import scipy.sparse.linalg as spla
 
+from conftest import SpluFault
 from macflow.cli import main
 from macflow.config import ConfigError, load_config
 
@@ -52,6 +54,13 @@ class TestConfigParsing:
         path = small_run_config(tmp_path, solver={"dt": -0.1, "t_end": 0.1})
         with pytest.raises(ConfigError, match="solver"):
             load_config(path)
+
+    def test_unknown_solver_key(self, tmp_path):
+        path = small_run_config(tmp_path, solver={"dt": 0.1, "t_end": 0.1,
+                                                  "linear_solver": "saddle"})
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert info.value.path == "solver.linear_solver"
 
     def test_shipped_configs_parse(self):
         for name in os.listdir(CONFIGS):
@@ -109,14 +118,30 @@ class TestRunCommand:
         for name in ("divergence.coo", "pressure_gradient.coo", "diffusion.coo"):
             assert (outdir / name).exists()
 
+    def test_factorization_failure_names_step(self, tmp_path, monkeypatch,
+                                              capsys):
+        real = spla.splu
+        one_step = SpluFault(real)
+        monkeypatch.setattr(spla, "splu", one_step)
+        cfg = small_run_config(tmp_path, solver={"dt": 0.1, "t_end": 0.1})
+        assert main(["run", "--config", cfg,
+                     "--output-dir", str(tmp_path / "one")]) == 0
+        # fail at the first factorization after step 1 of a two-step run
+        monkeypatch.setattr(spla, "splu",
+                            SpluFault(real, fail_from=one_step.calls + 1))
+        cfg = small_run_config(tmp_path, solver={"dt": 0.1, "t_end": 0.2})
+        code = main(["run", "--config", cfg,
+                     "--output-dir", str(tmp_path / "two")])
+        assert code == 3
+        assert "solver failure at step 2" in capsys.readouterr().err
+
     def test_bit_identical_reruns(self, tmp_path):
         cfg = small_run_config(tmp_path, problem={"name": "mms_b"},
                                solver={"dt": 0.02, "t_end": 0.06})
         outs = []
         for tag in ("a", "b"):
             outdir = tmp_path / tag
-            assert main(["run", "--config", cfg, "--output-dir", str(outdir),
-                         "--seed", "11", "--threads", "1"]) == 0
+            assert main(["run", "--config", cfg, "--output-dir", str(outdir)]) == 0
             outs.append((outdir / "diagnostics.csv").read_bytes())
         assert outs[0] == outs[1]
 

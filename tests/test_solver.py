@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from conftest import random_cells, random_velocity
+from conftest import SpluFault, random_cells, random_velocity
 from macflow import operators as ops
 from macflow.fields import CellScalarField, VelocityField
 from macflow.mesh import AxisPartition, build_mesh, dual_faces_of
 from macflow.problems import make_problem
-from macflow.solver import (PicardDivergenceError, SolverConfig, SolverError,
-                            TimeState, advance_timestep, initial_state,
-                            momentum_solve, run_simulation, transport_solve)
+from macflow.solver import (LinearSolveError, PicardDivergenceError,
+                            SolverConfig, SolverError, StepSolver, TimeState,
+                            TransportSolveError, advance_timestep,
+                            initial_state, run_simulation, transport_solve)
 
 
 def rotation_velocity(mesh22, speed=1.0):
@@ -172,9 +174,10 @@ class TestMomentumSolve:
         rho = CellScalarField(mesh33, np.full(mesh33.n_cells, 2.0))
         mu_t = ops.viscosity_tensor(rho, lambda r: r)
         fluxes = ops.mass_fluxes(rho, VelocityField.zero(mesh33))
-        u, p, res = momentum_solve(rho, ops.dual_cell_density(rho),
-                                   VelocityField.zero(mesh33), fluxes, mu_t,
-                                   None, 0.1, method="saddle")
+        rho_dual = ops.dual_cell_density(rho)
+        u, p, res = StepSolver(mesh33, "saddle").momentum_solve(
+            rho_dual, rho_dual, VelocityField.zero(mesh33), fluxes, mu_t,
+            None, 0.1)
         assert all(np.all(c == 0.0) for c in u.components)
         assert np.allclose(p.values, 0.0, atol=1e-12)
 
@@ -184,9 +187,10 @@ class TestMomentumSolve:
         mu_t = ops.viscosity_tensor(rho, lambda r: 0.1 + 0.1 * r)
         fluxes = ops.mass_fluxes(rho, random_velocity(mesh33, rng))
         f = [rng.uniform(-1, 1, mesh33.faces_shape(i)) for i in range(2)]
-        u, p, res = momentum_solve(rho, ops.dual_cell_density(rho),
-                                   VelocityField.zero(mesh33), fluxes, mu_t,
-                                   f, 0.05, method=method)
+        rho_dual = ops.dual_cell_density(rho)
+        u, p, res = StepSolver(mesh33, method).momentum_solve(
+            rho_dual, rho_dual, VelocityField.zero(mesh33), fluxes, mu_t,
+            f, 0.05)
         div = ops.divergence(u)
         assert np.max(np.abs(div.values)) <= 1e-10
         assert abs(np.dot(mesh33.cell_volumes.ravel(), p.values)) <= 1e-10
@@ -202,8 +206,8 @@ class TestMomentumSolve:
         dt = 0.2
         # convection off: zero fluxes
         fluxes = ops.mass_fluxes(rho, VelocityField.zero(mesh))
-        u, p, _ = momentum_solve(rho, rho_dual, VelocityField.zero(mesh),
-                                 fluxes, mu_t, f, dt, method=method)
+        u, p, _ = StepSolver(mesh, method).momentum_solve(
+            rho_dual, rho_dual, VelocityField.zero(mesh), fluxes, mu_t, f, dt)
         dofs, u_expect, p_expect = _dense_stokes_oracle(mesh, rho_dual, mu, f, dt)
         u_vec = dofs.pack([u.shaped(i) for i in range(2)])
         assert np.max(np.abs(u_vec - u_expect)) <= 1e-10
@@ -215,11 +219,12 @@ class TestMomentumSolve:
         adv = random_velocity(mesh33, rng)
         fluxes = ops.mass_fluxes(rho, adv)
         f = [rng.uniform(-1, 1, mesh33.faces_shape(i)) for i in range(2)]
+        rho_dual = ops.dual_cell_density(rho)
         results = {}
         for method in ("saddle", "nullspace"):
-            u, p, _ = momentum_solve(rho, ops.dual_cell_density(rho), adv,
-                                     fluxes, mu_t, f, 0.05, scheme="upwind",
-                                     method=method)
+            u, p, _ = StepSolver(mesh33, method).momentum_solve(
+                rho_dual, rho_dual, adv, fluxes, mu_t, f, 0.05,
+                scheme="upwind")
             results[method] = (u, p)
         for i in range(2):
             assert np.allclose(results["saddle"][0].components[i],
@@ -301,6 +306,45 @@ class TestRunSimulation:
         assert np.array_equal(runs[0].u.components[0], runs[1].u.components[0])
         assert np.array_equal(runs[0].p.values, runs[1].p.values)
         assert np.array_equal(runs[0].rho.values, runs[1].rho.values)
+
+
+class TestTypedErrors:
+    """A failing sparse factorization surfaces as the typed error of the
+    solve that hit it, and a run names the step."""
+
+    def test_transport_failure(self, mesh33, rng, monkeypatch):
+        monkeypatch.setattr(spla, "splu", SpluFault(spla.splu, fail_from=1))
+        with pytest.raises(TransportSolveError) as info:
+            transport_solve(random_cells(mesh33, rng, 0.5, 2.0),
+                            random_velocity(mesh33, rng), 0.05)
+        est = info.value.condition_estimate
+        assert est is not None and np.isfinite(est) and est >= 1.0
+
+    @pytest.mark.parametrize("method", ["saddle", "nullspace"])
+    def test_momentum_failure(self, mesh33, rng, monkeypatch, method):
+        solver = StepSolver(mesh33, method)
+        rho = random_cells(mesh33, rng, 1.0, 2.0)
+        mu_t = ops.viscosity_tensor(rho, lambda r: 0.1 + 0.1 * r)
+        fluxes = ops.mass_fluxes(rho, random_velocity(mesh33, rng))
+        rho_dual = ops.dual_cell_density(rho)
+        monkeypatch.setattr(spla, "splu", SpluFault(spla.splu, fail_from=1))
+        with pytest.raises(LinearSolveError):
+            solver.momentum_solve(rho_dual, rho_dual, VelocityField.zero(mesh33),
+                                  fluxes, mu_t, None, 0.05)
+
+    def test_run_names_failing_step(self, monkeypatch):
+        mesh = build_mesh([AxisPartition.uniform(0, 1, 4)] * 2)
+        problem = make_problem("mms_b", mesh)
+        real = spla.splu
+        one_step = SpluFault(real)
+        monkeypatch.setattr(spla, "splu", one_step)
+        run_simulation(problem, SolverConfig(dt=0.02, t_end=0.02))
+        # fail at the first factorization after step 1
+        monkeypatch.setattr(spla, "splu",
+                            SpluFault(real, fail_from=one_step.calls + 1))
+        with pytest.raises(SolverError) as info:
+            run_simulation(problem, SolverConfig(dt=0.02, t_end=0.06))
+        assert info.value.step == 2
 
 
 class TestTimeState:
