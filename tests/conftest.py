@@ -52,3 +52,26 @@ class SpluFault:
         if self.fail_from is not None and self.calls >= self.fail_from:
             raise RuntimeError("Factor is exactly singular")
         return self.real(*args, **kwargs)
+
+
+class KrylovStall:
+    """Stand-in for a ``scipy.sparse.linalg`` Krylov solver that counts its
+    calls and, on calls ``stall_from`` to ``stall_to`` (1-based, inclusive;
+    None leaves that end open, and ``stall_from=None`` never stalls),
+    stagnates: it returns an unconverged iterate (all ones) with ``info``,
+    by default positive as from a solver that ran out of iterations; 0
+    reports a wrong iterate as converged."""
+
+    def __init__(self, real, stall_from=None, stall_to=None, info=1):
+        self.real = real
+        self.stall_from = stall_from
+        self.stall_to = stall_to
+        self.info = info
+        self.calls = 0
+
+    def __call__(self, A, b, *args, **kwargs):
+        self.calls += 1
+        if self.stall_from is not None and self.calls >= self.stall_from \
+                and (self.stall_to is None or self.calls <= self.stall_to):
+            return np.ones_like(b), self.info
+        return self.real(A, b, *args, **kwargs)

@@ -5,7 +5,7 @@ import os
 import pytest
 import scipy.sparse.linalg as spla
 
-from conftest import SpluFault
+from conftest import KrylovStall, SpluFault
 from macflow.cli import main
 from macflow.config import ConfigError, load_config
 
@@ -120,13 +120,19 @@ class TestRunCommand:
 
     def test_factorization_failure_names_step(self, tmp_path, monkeypatch,
                                               capsys):
-        real = spla.splu
+        real, real_gmres = spla.splu, spla.gmres
         one_step = SpluFault(real)
+        one_step_gmres = KrylovStall(real_gmres)
         monkeypatch.setattr(spla, "splu", one_step)
+        monkeypatch.setattr(spla, "gmres", one_step_gmres)
         cfg = small_run_config(tmp_path, solver={"dt": 0.1, "t_end": 0.1})
         assert main(["run", "--config", cfg,
                      "--output-dir", str(tmp_path / "one")]) == 0
-        # fail at the first factorization after step 1 of a two-step run
+        # from step 2 on GMRES stagnates, which forces a refactorization;
+        # fail at that first factorization after step 1 of a two-step run
+        monkeypatch.setattr(spla, "gmres",
+                            KrylovStall(real_gmres,
+                                        stall_from=one_step_gmres.calls + 1))
         monkeypatch.setattr(spla, "splu",
                             SpluFault(real, fail_from=one_step.calls + 1))
         cfg = small_run_config(tmp_path, solver={"dt": 0.1, "t_end": 0.2})
@@ -134,6 +140,14 @@ class TestRunCommand:
                      "--output-dir", str(tmp_path / "two")])
         assert code == 3
         assert "solver failure at step 2" in capsys.readouterr().err
+
+    def test_setup_factorization_failure_names_step_zero(self, tmp_path,
+                                                         monkeypatch, capsys):
+        monkeypatch.setattr(spla, "splu", SpluFault(spla.splu, fail_from=1))
+        cfg = small_run_config(tmp_path, solver={"dt": 0.1, "t_end": 0.1})
+        code = main(["run", "--config", cfg, "--output-dir", str(tmp_path)])
+        assert code == 3
+        assert "solver failure at step 0" in capsys.readouterr().err
 
     def test_bit_identical_reruns(self, tmp_path):
         cfg = small_run_config(tmp_path, problem={"name": "mms_b"},

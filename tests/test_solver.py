@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from conftest import SpluFault, random_cells, random_velocity
+from conftest import KrylovStall, SpluFault, random_cells, random_velocity
 from macflow import operators as ops
 from macflow.fields import CellScalarField, VelocityField
 from macflow.mesh import AxisPartition, build_mesh, dual_faces_of
 from macflow.problems import make_problem
-from macflow.solver import (LinearSolveError, PicardDivergenceError,
-                            SolverConfig, SolverError, StepSolver, TimeState,
+from macflow.solver import (TRANSPORT_RTOL, LinearSolveError,
+                            PicardDivergenceError, SolverConfig, SolverError,
+                            StepSolver, StepStats, TimeState,
                             TransportSolveError, advance_timestep,
                             initial_state, run_simulation, transport_solve)
+from macflow.verification import dual_mass_balance_residual
 
 
 def rotation_velocity(mesh22, speed=1.0):
@@ -78,6 +80,61 @@ class TestTransport:
         vols = mesh33.cell_volumes.ravel()
         assert np.dot(vols, out.values) == pytest.approx(
             np.dot(vols, rho.values), rel=1e-13)
+
+    def test_stagnation_falls_back_to_direct_solve(self, mesh33, rng,
+                                                   monkeypatch):
+        rho = random_cells(mesh33, rng, 0.5, 2.0)
+        u = random_velocity(mesh33, rng)
+        krylov_stats = StepStats()
+        expected = transport_solve(rho, u, 0.05, stats=krylov_stats)
+        assert krylov_stats.factorizations == 0
+        assert krylov_stats.krylov_iterations > 0
+        monkeypatch.setattr(spla, "bicgstab",
+                            KrylovStall(spla.bicgstab, stall_from=1))
+        stats = StepStats()
+        out = transport_solve(rho, u, 0.05, stats=stats)
+        assert stats.factorizations == 1
+        assert np.allclose(out.values, expected.values, rtol=0, atol=1e-13)
+
+    def test_concentrated_residual_falls_back(self, rng, monkeypatch):
+        """A Krylov answer that is off in one cell is refused although its
+        residual is small in the 2-norm."""
+        mesh = build_mesh([AxisPartition.uniform(0, 1, 32)] * 2)
+        rho = random_cells(mesh, rng, 1.0, 2.0)
+        u = random_velocity(mesh, rng)
+        dt = 0.01
+        expected = transport_solve(rho, u, dt)
+        real = spla.bicgstab
+        seen = {}
+
+        def one_cell_off(A, b, **kwargs):
+            x, info = real(A, b, **kwargs)
+            k = b.size // 2
+            x[k] += 20 * TRANSPORT_RTOL * np.max(np.abs(b)) / A[k, k]
+            seen["r"], seen["b"] = A @ x - b, b
+            return x, info
+
+        monkeypatch.setattr(spla, "bicgstab", one_cell_off)
+        stats = StepStats()
+        out = transport_solve(rho, u, dt, stats=stats)
+        r, b = seen["r"], seen["b"]
+        assert np.linalg.norm(r) <= TRANSPORT_RTOL * np.linalg.norm(b)
+        assert np.max(np.abs(r)) > 10 * TRANSPORT_RTOL * np.max(np.abs(b))
+        assert stats.factorizations == 1
+        assert np.allclose(out.values, expected.values, rtol=0, atol=1e-13)
+
+    def test_dual_mass_balance_on_fine_grid(self, rng):
+        # 16384 cells: the accepted Krylov answer keeps the dual-cell defect
+        # that step_audit flags above 1e-12 at the 1e-14 level in every cell
+        mesh = build_mesh([AxisPartition.uniform(0, 1, 128)] * 2)
+        rho = random_cells(mesh, rng, 1.0, 2.0)
+        u = random_velocity(mesh, rng)
+        dt = 0.004
+        stats = StepStats()
+        out = transport_solve(rho, u, dt, stats=stats)
+        assert stats.factorizations == 0 and stats.krylov_iterations > 0
+        res = dual_mass_balance_residual(rho, out, ops.mass_fluxes(out, u), dt)
+        assert res <= 10 * TRANSPORT_RTOL
 
 
 def _dense_stokes_oracle(mesh, rho_dual, mu, f_faces, dt):
@@ -313,10 +370,15 @@ class TestTypedErrors:
     solve that hit it, and a run names the step."""
 
     def test_transport_failure(self, mesh33, rng, monkeypatch):
-        monkeypatch.setattr(spla, "splu", SpluFault(spla.splu, fail_from=1))
+        # a stagnating BiCGSTAB falls back to the direct factorization
+        monkeypatch.setattr(spla, "bicgstab",
+                            KrylovStall(spla.bicgstab, stall_from=1))
+        fault = SpluFault(spla.splu, fail_from=1)
+        monkeypatch.setattr(spla, "splu", fault)
         with pytest.raises(TransportSolveError) as info:
             transport_solve(random_cells(mesh33, rng, 0.5, 2.0),
                             random_velocity(mesh33, rng), 0.05)
+        assert fault.calls == 1
         est = info.value.condition_estimate
         assert est is not None and np.isfinite(est) and est >= 1.0
 
@@ -335,16 +397,115 @@ class TestTypedErrors:
     def test_run_names_failing_step(self, monkeypatch):
         mesh = build_mesh([AxisPartition.uniform(0, 1, 4)] * 2)
         problem = make_problem("mms_b", mesh)
-        real = spla.splu
+        real, real_gmres = spla.splu, spla.gmres
         one_step = SpluFault(real)
+        one_step_gmres = KrylovStall(real_gmres)
         monkeypatch.setattr(spla, "splu", one_step)
+        monkeypatch.setattr(spla, "gmres", one_step_gmres)
         run_simulation(problem, SolverConfig(dt=0.02, t_end=0.02))
-        # fail at the first factorization after step 1
+        # from step 2 on GMRES stagnates, which forces a refactorization of
+        # the reduced system; fail at that first factorization after step 1
+        monkeypatch.setattr(spla, "gmres",
+                            KrylovStall(real_gmres,
+                                        stall_from=one_step_gmres.calls + 1))
         monkeypatch.setattr(spla, "splu",
                             SpluFault(real, fail_from=one_step.calls + 1))
         with pytest.raises(SolverError) as info:
             run_simulation(problem, SolverConfig(dt=0.02, t_end=0.06))
         assert info.value.step == 2
+
+
+class TestLaggedFactor:
+    """The 2d reduced system keeps its first factor and solves later
+    systems by GMRES; a stagnation refactors instead of returning a loose
+    answer."""
+
+    @staticmethod
+    def _system(mesh, rng):
+        rho = random_cells(mesh, rng, 1.0, 2.0)
+        mu_t = ops.viscosity_tensor(rho, lambda r: 0.1 + 0.1 * r)
+        adv = random_velocity(mesh, rng)
+        f = [rng.uniform(-1, 1, mesh.faces_shape(i)) for i in range(2)]
+        return (ops.dual_cell_density(rho), adv, ops.mass_fluxes(rho, adv),
+                mu_t, f)
+
+    @pytest.mark.parametrize("info", [1, 0],
+                             ids=["stagnated", "wrong_converged"])
+    def test_rejected_krylov_answer_refactors_once(self, mesh_stretched, rng,
+                                                   monkeypatch, info):
+        # a stagnation (info > 0), or a wrong iterate reported as converged
+        # that the residual check rejects, costs one refactor, never a loose
+        # answer
+        mesh = mesh_stretched
+        solver = StepSolver(mesh)
+        stats = StepStats()
+        rho_dual, adv, fluxes, mu_t, f = self._system(mesh, rng)
+        solver.momentum_solve(rho_dual, rho_dual, adv, fluxes, mu_t, f, 0.05,
+                              stats=stats)
+        assert stats.factorizations == 1
+        rho_dual, adv, fluxes, mu_t, f = self._system(mesh, rng)
+        lu_calls = SpluFault(spla.splu)
+        monkeypatch.setattr(spla, "splu", lu_calls)
+        monkeypatch.setattr(spla, "gmres",
+                            KrylovStall(spla.gmres, stall_from=1, stall_to=1,
+                                        info=info))
+        linear_tol = 1e-9
+        u, p, res = solver.momentum_solve(rho_dual, rho_dual, adv, fluxes,
+                                          mu_t, f, 0.05, linear_tol=linear_tol,
+                                          stats=stats)
+        assert lu_calls.calls == 1 and stats.factorizations == 2
+        assert res <= linear_tol
+        monkeypatch.undo()
+        u_ref, p_ref, _ = StepSolver(mesh, "saddle").momentum_solve(
+            rho_dual, rho_dual, adv, fluxes, mu_t, f, 0.05)
+        for i in range(2):
+            assert np.allclose(u.components[i], u_ref.components[i], atol=1e-9)
+        assert np.allclose(p.values, p_ref.values, atol=1e-9)
+
+    def test_reduced_system_factored_in_first_step_only(self):
+        mesh = build_mesh([AxisPartition.uniform(0, 1, 16)] * 2)
+        problem = make_problem("mms_b", mesh)
+        cfg = SolverConfig(dt=0.02, t_end=0.06)
+        state = initial_state(mesh, problem.rho0, problem.u0)
+        solver = StepSolver(mesh)
+        per_step = []
+        for step in range(1, 4):
+            f = problem.forcing_faces(mesh, step * cfg.dt, cfg)
+            state, stats = advance_timestep(state, cfg, problem.mu_law, f,
+                                            solver)
+            per_step.append(stats)
+        assert [s.factorizations for s in per_step] == [1, 0, 0]
+        assert all(s.krylov_iterations > 0 for s in per_step)
+
+    def test_stalled_picard_loop_retries_with_fresh_factors(self, monkeypatch):
+        # GMRES answers within linear_tol that hold the Picard residual above
+        # picard_tol: the step is retried factoring every reduced system
+        mesh = build_mesh([AxisPartition.uniform(0, 1, 8)] * 2)
+        problem = make_problem("mms_b", mesh)
+        cfg = SolverConfig(dt=0.01, t_end=0.01, picard_max=4, linear_tol=1e-6)
+        state = initial_state(mesh, problem.rho0, problem.u0)
+        f = problem.forcing_faces(mesh, cfg.dt, cfg)
+        ref, _ = advance_timestep(state, cfg, problem.mu_law, f)
+        real = spla.gmres
+        calls = []
+
+        def loose(A, b, **kwargs):
+            calls.append(1)
+            x, _ = real(A, b, **kwargs)
+            return x * (1.0 + 1e-8), 0
+
+        monkeypatch.setattr(spla, "gmres", loose)
+        solver = StepSolver(mesh)
+        new, stats = advance_timestep(state, cfg, problem.mu_law, f, solver)
+        # the first attempt used GMRES after its first iteration and ran
+        # into the cap; the retry used none
+        assert len(calls) == cfg.picard_max - 1
+        assert max(stats.mass_residual, stats.momentum_residual) <= cfg.picard_tol
+        assert stats.factorizations >= 1 + stats.iterations
+        assert solver.reduced.lagged
+        for i in range(2):
+            assert np.allclose(new.u.components[i], ref.u.components[i],
+                               rtol=0, atol=1e-9)
 
 
 class TestTimeState:
