@@ -6,8 +6,8 @@ maximum principle, energy balance)."""
 from .mesh import (AxisPartition, DualFace, MacMesh, MeshError, MeshMetrics,
                    build_mesh, dual_faces_of, mesh_metrics)
 from .fields import (CellScalarField, DualGridField, FieldError,
-                     QuadratureError, VelocityField, cell_inner, norm_h1,
-                     norm_l2, norm_lp, project_cell, project_face,
+                     QuadratureError, VelocityField, norm_h1, norm_l2,
+                     norm_lp, project_cell, project_face,
                      reconstruct_cell_to_face, reconstruct_face_to_cell,
                      reconstruct_face_to_pair, velocity_inner)
 from .solver import (PicardDivergenceError, SimulationResult, SolverConfig,

@@ -162,14 +162,17 @@ def load_config(path_or_dict):
         if len(levels) < 3:
             raise ConfigError("convergence.levels",
                               "a study needs at least 3 levels")
+        for k, n in enumerate(levels):
+            if not isinstance(n, int):
+                raise ConfigError(f"convergence.levels[{k}]",
+                                  f"expected int, got {type(n).__name__}")
         convergence = {
-            "levels": [int(n) for n in levels],
+            "levels": levels,
             "dt_coarsest": float(_expect(conv_cfg, "dt_coarsest", "convergence",
                                          (int, float), required=True)),
             "t_end": float(_expect(conv_cfg, "t_end", "convergence",
                                    (int, float), required=True)),
-            "reference_n": conv_cfg.get("reference_n"),
+            "reference_n": _expect(conv_cfg, "reference_n", "convergence",
+                                   (int, type(None))),
         }
-        if convergence["reference_n"] is not None:
-            convergence["reference_n"] = int(convergence["reference_n"])
     return RunSetup(mesh, problem, solver, output, convergence, raw)

@@ -13,7 +13,7 @@ Projections of continuous data use tensor-product Gauss-Legendre quadrature;
 
 import numpy as np
 
-from .mesh import MacMesh
+from .mesh import MacMesh, _axis_view, _slab
 
 __all__ = [
     "FieldError",
@@ -28,12 +28,8 @@ __all__ = [
     "reconstruct_face_to_pair",
     "norm_l2",
     "norm_h1",
-    "cell_inner",
     "velocity_inner",
 ]
-
-ZERO_MEAN_RTOL = 1e-12
-
 
 class FieldError(ValueError):
     """Field data inconsistent with its mesh or declared invariants."""
@@ -52,20 +48,11 @@ def _frozen(values, size, what):
 
 
 class CellScalarField:
-    """One real per primal cell, lexicographic order.
+    """One real per primal cell, lexicographic order."""
 
-    With ``zero_mean=True`` the field asserts membership in the zero-mean
-    subspace: sum_K |K| q_K = 0 within ``1e-12 * ||q||_L2``.
-    """
-
-    def __init__(self, mesh: MacMesh, values, zero_mean=False):
+    def __init__(self, mesh: MacMesh, values):
         self.mesh = mesh
         self.values = _frozen(values, mesh.n_cells, "cell field")
-        self.zero_mean = bool(zero_mean)
-        if self.zero_mean:
-            total = float(np.dot(mesh.cell_volumes.ravel(), self.values))
-            if abs(total) > ZERO_MEAN_RTOL * max(norm_l2(self), np.finfo(float).tiny):
-                raise FieldError(f"field declared zero-mean but sum |K| q_K = {total:g}")
 
     @property
     def shaped(self):
@@ -234,46 +221,25 @@ def project_face(mesh: MacMesh, fns, variant="dual", order=5) -> VelocityField:
 # -- reconstructions --------------------------------------------------------------
 
 def reconstruct_cell_to_face(q: CellScalarField, i) -> np.ndarray:
-    """Convex interpolation of a cell field to direction-i faces,
-    alpha_sigma = |D_{K,sigma}| / |D_sigma|; boundary faces copy the adjacent
-    cell.  Returns the flat face array."""
+    """Convex interpolation of a cell field to direction-i faces: on interior
+    faces the half-cell weighted average
+    (|D_{K,sigma}| q_K + |D_{L,sigma}| q_L) / |D_sigma| (the dual-cell density
+    rho_{D_sigma} of the scheme); boundary faces copy the adjacent cell.
+    Returns the flat face array."""
     mesh = q.mesh
-    qs = q.shaped
-    out = np.empty(mesh.faces_shape(i))
-    half_lo = 0.5 * mesh.widths[i]          # |D_{K,sigma}| per unit cross-section
-    dw = mesh.dual_widths[i]
-    alpha = half_lo[:-1] / dw[1:-1]          # weight of the cell behind each interior face
-    sh = [1] * mesh.dim
-    sh[i] = alpha.size
-    alpha = alpha.reshape(sh)
-    lo = [slice(None)] * mesh.dim
-    hi = [slice(None)] * mesh.dim
-    inner = [slice(None)] * mesh.dim
-    lo[i] = slice(0, mesh.n[i] - 1)
-    hi[i] = slice(1, mesh.n[i])
-    inner[i] = slice(1, mesh.n[i])
-    out[tuple(inner)] = alpha * qs[tuple(lo)] + (1.0 - alpha) * qs[tuple(hi)]
-    first = [slice(None)] * mesh.dim
-    last = [slice(None)] * mesh.dim
-    first[i] = 0
-    last[i] = mesh.n[i]
-    cell_first = [slice(None)] * mesh.dim
-    cell_last = [slice(None)] * mesh.dim
-    cell_first[i] = 0
-    cell_last[i] = mesh.n[i] - 1
-    out[tuple(first)] = qs[tuple(cell_first)]
-    out[tuple(last)] = qs[tuple(cell_last)]
-    return out.ravel()
+    w = mesh.widths[i]
+    lo_w = _axis_view(0.5 * w[:-1], i, mesh.dim)
+    hi_w = _axis_view(0.5 * w[1:], i, mesh.dim)
+    dw = _axis_view(mesh.dual_widths[i][1:-1], i, mesh.dim)
+    behind, ahead = _neighbours(q.shaped, i)
+    return _face_from_cells(q.shaped, i, (lo_w * behind + hi_w * ahead) / dw).ravel()
 
 
 def reconstruct_face_to_cell(mesh: MacMesh, v, i) -> CellScalarField:
     """Arithmetic mean of the two direction-i faces of each cell."""
     vs = np.asarray(v, dtype=float).reshape(mesh.faces_shape(i))
-    lo = [slice(None)] * mesh.dim
-    hi = [slice(None)] * mesh.dim
-    lo[i] = slice(0, mesh.n[i])
-    hi[i] = slice(1, mesh.n[i] + 1)
-    return CellScalarField(mesh, (0.5 * (vs[tuple(lo)] + vs[tuple(hi)])).ravel())
+    lo, hi = _neighbours(vs, i)
+    return CellScalarField(mesh, (0.5 * (lo + hi)).ravel())
 
 
 def reconstruct_face_to_pair(mesh: MacMesh, v, i, j, alpha=0.5) -> DualGridField:
@@ -281,26 +247,38 @@ def reconstruct_face_to_pair(mesh: MacMesh, v, i, j, alpha=0.5) -> DualGridField
     with weight ``alpha`` on the face behind; exterior dual faces keep
     ``alpha * v`` of their single neighbour."""
     vs = np.asarray(v, dtype=float).reshape(mesh.faces_shape(i))
-    if i == j:
-        lo = [slice(None)] * mesh.dim
-        hi = [slice(None)] * mesh.dim
-        lo[i] = slice(0, mesh.n[i])
-        hi[i] = slice(1, mesh.n[i] + 1)
-        out = alpha * vs[tuple(lo)] + (1.0 - alpha) * vs[tuple(hi)]
-        return DualGridField(mesh, i, j, out.ravel())
-    padded = _pad_zero(vs, j)
-    lo = [slice(None)] * mesh.dim
-    hi = [slice(None)] * mesh.dim
-    lo[j] = slice(0, mesh.n[j] + 1)
-    hi[j] = slice(1, mesh.n[j] + 2)
-    out = alpha * padded[tuple(lo)] + (1.0 - alpha) * padded[tuple(hi)]
-    return DualGridField(mesh, i, j, out.ravel())
+    lo, hi = _neighbours(vs, j, None if i == j else 0.0)
+    return DualGridField(mesh, i, j, (alpha * lo + (1.0 - alpha) * hi).ravel())
 
 
-def _pad_zero(arr, axis):
-    pad = [(0, 0)] * arr.ndim
-    pad[axis] = (1, 1)
-    return np.pad(arr, pad)
+# -- axis stencils ---------------------------------------------------------------
+
+def _neighbours(arr, axis, fill=None):
+    """The two entries along ``axis`` on either side of each gap between
+    consecutive entries, ``arr[..., :-1, ...]`` and ``arr[..., 1:, ...]``.
+    With ``fill`` the array is first extended by one ``fill`` entry at both
+    ends of ``axis``: 0 is the zero ghost value beyond a homogeneous
+    Dirichlet boundary, -1 a missing id."""
+    if fill is not None:
+        shape = list(arr.shape)
+        shape[axis] += 2
+        padded = np.full(shape, fill, dtype=arr.dtype)
+        padded[_slab(arr.ndim, axis, 1, -1)] = arr
+        arr = padded
+    return arr[_slab(arr.ndim, axis, None, -1)], arr[_slab(arr.ndim, axis, 1, None)]
+
+
+def _face_from_cells(cells, axis, interior):
+    """Direction-``axis`` face array holding ``interior`` on the interior
+    faces; each boundary face copies its adjacent cell of ``cells``."""
+    shape = list(cells.shape)
+    shape[axis] += 1
+    out = np.empty(shape)
+    first, last = _slab(cells.ndim, axis, 0, 1), _slab(cells.ndim, axis, -1, None)
+    out[_slab(cells.ndim, axis, 1, -1)] = interior
+    out[first] = cells[first]
+    out[last] = cells[last]
+    return out
 
 
 # -- norms -----------------------------------------------------------------------
@@ -345,27 +323,17 @@ def norm_h1(u: VelocityField) -> float:
     for i in range(mesh.dim):
         us = u.shaped(i)
         for j in range(mesh.dim):
+            # pairs inside each cell along axis i; across axis j, the zero
+            # beyond the boundary pairs with the outermost face
+            lo, hi = _neighbours(us, j, None if j == i else 0.0)
             if j == i:
-                # pairs inside each cell along axis i
-                diff = np.diff(us, axis=i)
-                w = mesh.widths[i]
-                sh = [1] * mesh.dim
-                sh[i] = w.size
-                cross = mesh.cell_volumes / w.reshape(sh)   # |sigma~| per cell
-                total += float(np.sum(cross / w.reshape(sh) * diff ** 2))
+                w = _axis_view(mesh.widths[i], i, mesh.dim)
+                measure = mesh.cell_volumes / w              # |sigma~| per cell
             else:
-                padded = _pad_zero(us, j)                    # zero beyond the boundary
-                diff = np.diff(padded, axis=j)
-                dwj = mesh.dual_widths[j]
-                shj = [1] * mesh.dim
-                shj[j] = dwj.size
-                measure = mesh.pair_volumes(i, j) / dwj.reshape(shj)
-                total += float(np.sum(measure / dwj.reshape(shj) * diff ** 2))
+                w = _axis_view(mesh.dual_widths[j], j, mesh.dim)
+                measure = mesh.pair_volumes(i, j) / w
+            total += float(np.sum(measure / w * (hi - lo) ** 2))
     return float(np.sqrt(total))
-
-
-def cell_inner(q: CellScalarField, r: CellScalarField) -> float:
-    return float(np.dot(q.mesh.cell_volumes.ravel() * q.values, r.values))
 
 
 def velocity_inner(u: VelocityField, v: VelocityField) -> float:

@@ -33,6 +33,25 @@ def _freeze(a):
     return a
 
 
+# Axis-stencil index helpers of the field maps and operators.  They live here,
+# below ``fields``, because ``MacMesh`` uses them too; ``fields`` builds the
+# neighbour-pair and face-from-cells stencils on them.
+
+def _slab(dim, axis, start, stop):
+    """Index tuple selecting ``start:stop`` along ``axis`` and everything
+    along the other axes of a ``dim``-dimensional array."""
+    index = [slice(None)] * dim
+    index[axis] = slice(start, stop)
+    return tuple(index)
+
+
+def _axis_view(arr, axis, dim):
+    """A 1d per-axis array shaped to broadcast along ``axis``."""
+    sh = [1] * dim
+    sh[axis] = arr.size
+    return arr.reshape(sh)
+
+
 @dataclass(frozen=True)
 class AxisPartition:
     """Strictly increasing breakpoints of one axis; first/last are the domain
@@ -212,9 +231,7 @@ class MacMesh:
 
     def interior_mask(self, i):
         mask = np.zeros(self.faces_shape(i), dtype=bool)
-        sl = [slice(None)] * self.dim
-        sl[i] = slice(1, self.n[i])
-        mask[tuple(sl)] = True
+        mask[_slab(self.dim, i, 1, -1)] = True
         return mask
 
     def face_centers(self, i):
@@ -289,10 +306,7 @@ def mesh_metrics(mesh: MacMesh) -> MeshMetrics:
     # cell diameters: sqrt of sum of squared widths, maximised per axis
     diam_sq = np.zeros(())
     for a in range(mesh.dim):
-        w = mesh.widths[a]
-        shape = [1] * mesh.dim
-        shape[a] = w.size
-        diam_sq = diam_sq + (w.reshape(shape)) ** 2
+        diam_sq = diam_sq + _axis_view(mesh.widths[a], a, mesh.dim) ** 2
     return MeshMetrics(eta=eta, h=float(np.sqrt(diam_sq.max())))
 
 

@@ -15,13 +15,25 @@ Sign conventions used throughout:
 Every operator exists both matrix-free (``*_apply`` / plain functions) and as
 an assembled sparse matrix over the interior-face unknowns; equality of the
 two paths is part of the acceptance suite.
+
+All axis stencils are built from three index helpers: ``mesh._slab`` (the
+index of ``start:stop`` along one axis), ``fields._neighbours`` (the pair
+``[..., :-1]``, ``[..., 1:]`` along an axis, optionally padded by a zero
+ghost value or, for id arrays, by -1) and ``fields._face_from_cells`` (a
+face array whose boundary faces copy their adjacent cell).  Both sides of
+an oracle pair (a matrix-free operator and its assembled matrix, and each
+identity checked by ``verification``: ``norm_h1`` vs ``gradient_inner``,
+``trilinear_form`` vs ``trilinear_form_reconstructed``, the convection
+duality) may share these index helpers, but never a kernel: neither side
+is computed through the other.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fields import CellScalarField, DualGridField, VelocityField, _pad_zero
-from .mesh import MacMesh
+from .fields import (CellScalarField, DualGridField, VelocityField,
+                     _face_from_cells, _neighbours, reconstruct_cell_to_face)
+from .mesh import MacMesh, _axis_view, _slab
 
 __all__ = [
     "OperatorError",
@@ -63,12 +75,6 @@ class ViscosityError(ValueError):
     """Viscosity law produced non-positive or non-finite values."""
 
 
-def _axis_view(arr, axis, dim):
-    sh = [1] * dim
-    sh[axis] = arr.size
-    return arr.reshape(sh)
-
-
 # -- gradient kernels (array level) ----------------------------------------------
 
 def _grad_parallel(mesh, us, i):
@@ -79,8 +85,8 @@ def _grad_parallel(mesh, us, i):
 def _grad_transverse(mesh, us, i, j):
     """d(u_i)/dx_j on the (i, j) dual-dual grid, zero ghost beyond the
     boundary (homogeneous Dirichlet)."""
-    padded = _pad_zero(us, j)
-    return np.diff(padded, axis=j) / _axis_view(mesh.dual_widths[j], j, mesh.dim)
+    lo, hi = _neighbours(us, j, 0.0)
+    return (hi - lo) / _axis_view(mesh.dual_widths[j], j, mesh.dim)
 
 
 def _grad(mesh, us, i, j):
@@ -132,10 +138,8 @@ def pressure_gradient(p: CellScalarField) -> VelocityField:
     comps = []
     for i in range(mesh.dim):
         out = np.zeros(mesh.faces_shape(i))
-        inner = [slice(None)] * mesh.dim
-        inner[i] = slice(1, mesh.n[i])
         dw = _axis_view(mesh.dual_widths[i][1:-1], i, mesh.dim)
-        out[tuple(inner)] = np.diff(ps, axis=i) / dw
+        out[_slab(mesh.dim, i, 1, -1)] = np.diff(ps, axis=i) / dw
         comps.append(out.ravel())
     return VelocityField(mesh, comps)
 
@@ -181,17 +185,9 @@ def viscosity_tensor(rho: CellScalarField, mu_law) -> ViscosityTensorField:
 
 def _corner_sum(arr, i, j):
     """Sum of the up-to-four entries adjacent to each (axis-i, axis-j) corner."""
-    p = _pad_zero(_pad_zero(arr, i), j)
-    lo_i = [slice(None)] * arr.ndim
-    hi_i = [slice(None)] * arr.ndim
-    lo_i[i] = slice(0, arr.shape[i] + 1)
-    hi_i[i] = slice(1, arr.shape[i] + 2)
-    step = p[tuple(lo_i)] + p[tuple(hi_i)]
-    lo_j = [slice(None)] * arr.ndim
-    hi_j = [slice(None)] * arr.ndim
-    lo_j[j] = slice(0, arr.shape[j] + 1)
-    hi_j[j] = slice(1, arr.shape[j] + 2)
-    return step[tuple(lo_j)] + step[tuple(hi_j)]
+    lo, hi = _neighbours(arr, i, 0.0)
+    lo, hi = _neighbours(lo + hi, j, 0.0)
+    return lo + hi
 
 
 # -- diffusion --------------------------------------------------------------------
@@ -218,9 +214,7 @@ def diffusion_apply(mu_t: ViscosityTensorField, u: VelocityField) -> VelocityFie
         for j in range(mesh.dim):
             flux = _viscous_flux(mesh, mu_t, u, i, j)
             if j == i:
-                inner = [slice(None)] * mesh.dim
-                inner[i] = slice(1, mesh.n[i])
-                acc[tuple(inner)] += np.diff(flux, axis=i)
+                acc[_slab(mesh.dim, i, 1, -1)] += np.diff(flux, axis=i)
             else:
                 acc += np.diff(flux, axis=j)
         acc /= mesh.dual_volumes(i)
@@ -303,23 +297,9 @@ def primal_fluxes(rho: CellScalarField, u: VelocityField) -> MassFluxSet:
     rs = rho.shaped
     for i in range(mesh.dim):
         us = u.shaped(i)
-        rho_f = np.empty(mesh.faces_shape(i))
-        inner = [slice(None)] * mesh.dim
-        inner[i] = slice(1, mesh.n[i])
-        behind = [slice(None)] * mesh.dim
-        ahead = [slice(None)] * mesh.dim
-        behind[i] = slice(0, mesh.n[i] - 1)
-        ahead[i] = slice(1, mesh.n[i])
-        rho_f[tuple(inner)] = np.where(us[tuple(inner)] >= 0.0,
-                                       rs[tuple(behind)], rs[tuple(ahead)])
-        first = [slice(None)] * mesh.dim
-        last = [slice(None)] * mesh.dim
-        first[i], last[i] = 0, mesh.n[i]
-        cfirst = [slice(None)] * mesh.dim
-        clast = [slice(None)] * mesh.dim
-        cfirst[i], clast[i] = 0, mesh.n[i] - 1
-        rho_f[tuple(first)] = rs[tuple(cfirst)]
-        rho_f[tuple(last)] = rs[tuple(clast)]
+        behind, ahead = _neighbours(rs, i)
+        u_in = us[_slab(mesh.dim, i, 1, -1)]
+        rho_f = _face_from_cells(rs, i, np.where(u_in >= 0.0, behind, ahead))
         fluxes.rho_face.append(rho_f)
         fluxes.phi.append(mesh.face_measures(i) * rho_f * us)
     return fluxes
@@ -332,37 +312,29 @@ def dual_fluxes(fluxes: MassFluxSet) -> MassFluxSet:
     for i in range(mesh.dim):
         us = fluxes.u.shaped(i)
         phi = fluxes.phi[i]
-        rho_f = fluxes.rho_face[i]
-        lo = [slice(None)] * mesh.dim
-        hi = [slice(None)] * mesh.dim
-        lo[i] = slice(0, mesh.n[i])
-        hi[i] = slice(1, mesh.n[i] + 1)
-        fluxes.parallel_phi[i] = 0.5 * (phi[tuple(lo)] + phi[tuple(hi)])
-        rsum = rho_f[tuple(lo)] + rho_f[tuple(hi)]
+        phi_lo, phi_hi = _neighbours(phi, i)
+        r_lo, r_hi = _neighbours(fluxes.rho_face[i], i)
+        u_lo, u_hi = _neighbours(us, i)
+        fluxes.parallel_phi[i] = 0.5 * (phi_lo + phi_hi)
+        rsum = r_lo + r_hi
         fluxes.rho_tilde[(i, i)] = 0.5 * rsum
-        mom = rho_f[tuple(lo)] * us[tuple(lo)] + rho_f[tuple(hi)] * us[tuple(hi)]
+        mom = r_lo * u_lo + r_hi * u_hi
         with np.errstate(invalid="ignore", divide="ignore"):
             fluxes.u_hat[(i, i)] = np.where(rsum != 0.0, mom / rsum, 0.0)
         for j in range(mesh.dim):
             if j == i:
                 continue
-            phi_j = _pad_zero(fluxes.phi[j], i)
-            li = [slice(None)] * mesh.dim
-            hi2 = [slice(None)] * mesh.dim
-            li[i] = slice(0, mesh.n[i] + 1)
-            hi2[i] = slice(1, mesh.n[i] + 2)
-            fluxes.transverse_phi[(i, j)] = 0.5 * (phi_j[tuple(li)] + phi_j[tuple(hi2)])
+            phi_lo, phi_hi = _neighbours(fluxes.phi[j], i, 0.0)
+            fluxes.transverse_phi[(i, j)] = 0.5 * (phi_lo + phi_hi)
             # measure-weighted density / flux-weighted velocity across axis i
-            wi = mesh.widths[i]
-            wlo = _axis_view(np.concatenate(([0.0], wi)), i, mesh.dim)
-            whi = _axis_view(np.concatenate((wi, [0.0])), i, mesh.dim)
-            rj = _pad_zero(fluxes.rho_face[j], i)
-            uj = _pad_zero(fluxes.u.shaped(j), i)
-            num_r = wlo * rj[tuple(li)] + whi * rj[tuple(hi2)]
+            wlo, whi = (_axis_view(w, i, mesh.dim)
+                        for w in _neighbours(mesh.widths[i], 0, 0.0))
+            r_lo, r_hi = _neighbours(fluxes.rho_face[j], i, 0.0)
+            u_lo, u_hi = _neighbours(fluxes.u.shaped(j), i, 0.0)
+            num_r = wlo * r_lo + whi * r_hi
             den_r = wlo + whi
             rho_t = num_r / den_r
-            num_u = (wlo * rj[tuple(li)] * uj[tuple(li)]
-                     + whi * rj[tuple(hi2)] * uj[tuple(hi2)])
+            num_u = wlo * r_lo * u_lo + whi * r_hi * u_hi
             with np.errstate(invalid="ignore", divide="ignore"):
                 u_hat = np.where(num_r != 0.0, num_u / num_r, 0.0)
             fluxes.rho_tilde[(i, j)] = rho_t
@@ -388,9 +360,7 @@ def dual_flux_divergence(fluxes: MassFluxSet, i):
     volume (zero entries on exterior faces)."""
     mesh = fluxes.mesh
     acc = np.zeros(mesh.faces_shape(i))
-    inner = [slice(None)] * mesh.dim
-    inner[i] = slice(1, mesh.n[i])
-    acc[tuple(inner)] += np.diff(fluxes.parallel_phi[i], axis=i)
+    acc[_slab(mesh.dim, i, 1, -1)] += np.diff(fluxes.parallel_phi[i], axis=i)
     for j in range(mesh.dim):
         if j == i:
             continue
@@ -404,31 +374,8 @@ def dual_cell_density(rho: CellScalarField):
     """rho_{D_sigma}: half-cell weighted average on interior faces, adjacent
     cell value on exterior faces.  One array per direction."""
     mesh = rho.mesh
-    rs = rho.shaped
-    out = []
-    for i in range(mesh.dim):
-        arr = np.empty(mesh.faces_shape(i))
-        w = mesh.widths[i]
-        lo_w = _axis_view(0.5 * w[:-1], i, mesh.dim)
-        hi_w = _axis_view(0.5 * w[1:], i, mesh.dim)
-        dw = _axis_view(mesh.dual_widths[i][1:-1], i, mesh.dim)
-        inner = [slice(None)] * mesh.dim
-        inner[i] = slice(1, mesh.n[i])
-        behind = [slice(None)] * mesh.dim
-        ahead = [slice(None)] * mesh.dim
-        behind[i] = slice(0, mesh.n[i] - 1)
-        ahead[i] = slice(1, mesh.n[i])
-        arr[tuple(inner)] = (lo_w * rs[tuple(behind)] + hi_w * rs[tuple(ahead)]) / dw
-        first = [slice(None)] * mesh.dim
-        last = [slice(None)] * mesh.dim
-        first[i], last[i] = 0, mesh.n[i]
-        cfirst = [slice(None)] * mesh.dim
-        clast = [slice(None)] * mesh.dim
-        cfirst[i], clast[i] = 0, mesh.n[i] - 1
-        arr[tuple(first)] = rs[tuple(cfirst)]
-        arr[tuple(last)] = rs[tuple(clast)]
-        out.append(arr)
-    return out
+    return [reconstruct_cell_to_face(rho, i).reshape(mesh.faces_shape(i))
+            for i in range(mesh.dim)]
 
 
 # -- convection -------------------------------------------------------------------
@@ -437,19 +384,7 @@ def _advected_values(mesh, vs, i, j, dual_phi, scheme):
     """Single-valued advected quantity on each dual face of the (i, j) grid:
     centered mean of the two straddling faces, or the donor by flux sign
     (lower face on ties)."""
-    if i == j:
-        lo = [slice(None)] * mesh.dim
-        hi = [slice(None)] * mesh.dim
-        lo[i] = slice(0, mesh.n[i])
-        hi[i] = slice(1, mesh.n[i] + 1)
-        vlo, vhi = vs[tuple(lo)], vs[tuple(hi)]
-    else:
-        padded = _pad_zero(vs, j)
-        lo = [slice(None)] * mesh.dim
-        hi = [slice(None)] * mesh.dim
-        lo[j] = slice(0, mesh.n[j] + 1)
-        hi[j] = slice(1, mesh.n[j] + 2)
-        vlo, vhi = padded[tuple(lo)], padded[tuple(hi)]
+    vlo, vhi = _neighbours(vs, j, None if i == j else 0.0)
     if scheme == "centered":
         return 0.5 * (vlo + vhi)
     if scheme == "upwind":
@@ -469,9 +404,7 @@ def convection_apply(fluxes: MassFluxSet, v: VelocityField,
         acc = np.zeros(mesh.faces_shape(i))
         pp = fluxes.parallel_phi[i]
         val = _advected_values(mesh, vs, i, i, pp, scheme)
-        inner = [slice(None)] * mesh.dim
-        inner[i] = slice(1, mesh.n[i])
-        acc[tuple(inner)] += np.diff(pp * val, axis=i)
+        acc[_slab(mesh.dim, i, 1, -1)] += np.diff(pp * val, axis=i)
         for j in range(mesh.dim):
             if j == i:
                 continue
@@ -588,15 +521,10 @@ def divergence_matrix(mesh: MacMesh, dofs: FaceDofMap | None = None):
     coo = _Coo()
     cells = _cell_ids(mesh)
     for i in range(mesh.dim):
-        lo = [slice(None)] * mesh.dim
-        hi = [slice(None)] * mesh.dim
-        lo[i] = slice(0, mesh.n[i])
-        hi[i] = slice(1, mesh.n[i] + 1)
+        f_lo, f_hi = _neighbours(dofs.dof[i].reshape(mesh.faces_shape(i)), i)
         inv_w = 1.0 / _axis_view(mesh.widths[i], i, mesh.dim)
-        coo.add(cells, dofs.dof[i].reshape(mesh.faces_shape(i))[tuple(lo)],
-                -inv_w * np.ones(mesh.cells_shape))
-        coo.add(cells, dofs.dof[i].reshape(mesh.faces_shape(i))[tuple(hi)],
-                +inv_w * np.ones(mesh.cells_shape))
+        coo.add(cells, f_lo, -inv_w * np.ones(mesh.cells_shape))
+        coo.add(cells, f_hi, +inv_w * np.ones(mesh.cells_shape))
     return coo.build((mesh.n_cells, dofs.n_dofs))
 
 
@@ -615,26 +543,18 @@ def pressure_gradient_matrix(mesh: MacMesh, dofs: FaceDofMap | None = None):
     coo = _Coo()
     cells = _cell_ids(mesh)
     for i in range(mesh.dim):
-        dof = dofs.dof[i].reshape(mesh.faces_shape(i))
-        inner = [slice(None)] * mesh.dim
-        inner[i] = slice(1, mesh.n[i])
-        rows = dof[tuple(inner)]
-        behind = [slice(None)] * mesh.dim
-        ahead = [slice(None)] * mesh.dim
-        behind[i] = slice(0, mesh.n[i] - 1)
-        ahead[i] = slice(1, mesh.n[i])
+        rows = dofs.dof[i].reshape(mesh.faces_shape(i))[_slab(mesh.dim, i, 1, -1)]
+        behind, ahead = _neighbours(cells, i)
         inv_dw = 1.0 / _axis_view(mesh.dual_widths[i][1:-1], i, mesh.dim)
         ones = np.ones_like(rows, dtype=float)
-        coo.add(rows, cells[tuple(behind)], -inv_dw * ones)
-        coo.add(rows, cells[tuple(ahead)], +inv_dw * ones)
+        coo.add(rows, behind, -inv_dw * ones)
+        coo.add(rows, ahead, +inv_dw * ones)
     return coo.build((dofs.n_dofs, mesh.n_cells))
 
 
 def diffusion_matrix(mesh: MacMesh, mu_t: ViscosityTensorField,
-                     dofs: FaceDofMap | None = None, weighted=False):
-    """Matrix of u -> div_E(mu D(u)) on interior faces.  With
-    ``weighted=True`` rows are scaled by |D_sigma| (the bilinear-form matrix,
-    symmetric by construction of the face viscosities)."""
+                     dofs: FaceDofMap | None = None):
+    """Matrix of u -> div_E(mu D(u)) on interior faces."""
     dofs = dofs or FaceDofMap(mesh)
     coo = _Coo()
     for i in range(mesh.dim):
@@ -642,11 +562,7 @@ def diffusion_matrix(mesh: MacMesh, mu_t: ViscosityTensorField,
         # parallel fluxes: cell planes
         cross = mesh.cell_volumes / _axis_view(mesh.widths[i], i, mesh.dim)
         k = cross * mu_t.pair(i, i) / _axis_view(mesh.widths[i], i, mesh.dim)
-        lo = [slice(None)] * mesh.dim
-        hi = [slice(None)] * mesh.dim
-        lo[i] = slice(0, mesh.n[i])
-        hi[i] = slice(1, mesh.n[i] + 1)
-        f_lo, f_hi = dof_i[tuple(lo)], dof_i[tuple(hi)]
+        f_lo, f_hi = _neighbours(dof_i, i)
         # flux = k (u_hi - u_lo); +flux to row lo, -flux to row hi
         for rows, sgn in ((f_lo, 1.0), (f_hi, -1.0)):
             coo.add(rows, f_hi, sgn * k)
@@ -659,39 +575,22 @@ def diffusion_matrix(mesh: MacMesh, mu_t: ViscosityTensorField,
             measure = vols / _axis_view(mesh.dual_widths[j], j, mesh.dim)
             half_mu = 0.5 * mu_t.pair(i, j)
             coef = measure * half_mu
-            # column ids of u_i below/above the dual face (ghost -> -1)
-            ui_lo = _shift_ids(_pad_ids(dof_i, j), j, 0)
-            ui_hi = _shift_ids(_pad_ids(dof_i, j), j, 1)
+            # ids of u_i below/above the dual face (ghost -> -1): the columns
+            # of d_j u_i and the rows sigma(f, g-1), sigma(f, g)
+            ui_lo, ui_hi = _neighbours(dof_i, j, -1)
             inv_dwj = 1.0 / _axis_view(mesh.dual_widths[j], j, mesh.dim)
             # column ids of u_j behind/ahead across axis i
-            uj_lo = _shift_ids(_pad_ids(dof_j, i), i, 0)
-            uj_hi = _shift_ids(_pad_ids(dof_j, i), i, 1)
+            uj_lo, uj_hi = _neighbours(dof_j, i, -1)
             inv_dwi = 1.0 / _axis_view(mesh.dual_widths[i], i, mesh.dim)
-            rows_lo = _shift_ids(_pad_ids(dof_i, j), j, 0)   # row sigma(f, g-1)
-            rows_hi = _shift_ids(_pad_ids(dof_i, j), j, 1)   # row sigma(f, g)
-            for rows, sgn in ((rows_lo, 1.0), (rows_hi, -1.0)):
+            for rows, sgn in ((ui_lo, 1.0), (ui_hi, -1.0)):
                 coo.add(rows, ui_hi, sgn * coef * inv_dwj)
                 coo.add(rows, ui_lo, -sgn * coef * inv_dwj)
                 coo.add(rows, uj_hi, sgn * coef * inv_dwi)
                 coo.add(rows, uj_lo, -sgn * coef * inv_dwi)
     mat = coo.build((dofs.n_dofs, dofs.n_dofs))
-    if weighted:
-        return mat
     inv_vol = 1.0 / np.concatenate(
         [mesh.dual_volumes(i).ravel()[dofs.interior[i]] for i in range(mesh.dim)])
     return sp.diags(inv_vol) @ mat
-
-
-def _pad_ids(ids, axis):
-    pad = [(0, 0)] * ids.ndim
-    pad[axis] = (1, 1)
-    return np.pad(ids, pad, constant_values=-1)
-
-
-def _shift_ids(padded, axis, start):
-    sl = [slice(None)] * padded.ndim
-    sl[axis] = slice(start, start + padded.shape[axis] - 1)
-    return padded[tuple(sl)]
 
 
 def convection_matrix(fluxes: MassFluxSet, scheme="centered",
@@ -705,29 +604,23 @@ def convection_matrix(fluxes: MassFluxSet, scheme="centered",
         inv_vol = 1.0 / mesh.dual_volumes(i)
         # parallel dual faces, one per cell
         pp = fluxes.parallel_phi[i]
-        lo = [slice(None)] * mesh.dim
-        hi = [slice(None)] * mesh.dim
-        lo[i] = slice(0, mesh.n[i])
-        hi[i] = slice(1, mesh.n[i] + 1)
-        f_lo, f_hi = dof_i[tuple(lo)], dof_i[tuple(hi)]
+        f_lo, f_hi = _neighbours(dof_i, i)
+        ivol_lo, ivol_hi = _neighbours(inv_vol, i)
         w_lo, w_hi = _advection_weights(pp, scheme)
-        for rows, sgn, ivol in ((f_lo, 1.0, inv_vol[tuple(lo)]),
-                                (f_hi, -1.0, inv_vol[tuple(hi)])):
+        for rows, sgn, ivol in ((f_lo, 1.0, ivol_lo), (f_hi, -1.0, ivol_hi)):
             coo.add(rows, f_lo, sgn * ivol * pp * w_lo)
             coo.add(rows, f_hi, sgn * ivol * pp * w_hi)
         for j in range(mesh.dim):
             if j == i:
                 continue
             tp = fluxes.transverse_phi[(i, j)]
-            rows_lo = _shift_ids(_pad_ids(dof_i, j), j, 0)
-            rows_hi = _shift_ids(_pad_ids(dof_i, j), j, 1)
-            cols_lo, cols_hi = rows_lo, rows_hi
+            # the faces below/above each dual face are both rows and columns
+            ui_lo, ui_hi = _neighbours(dof_i, j, -1)
             w_lo, w_hi = _advection_weights(tp, scheme)
-            ivol_lo = _shift_ids(_pad_zero(inv_vol, j), j, 0)
-            ivol_hi = _shift_ids(_pad_zero(inv_vol, j), j, 1)
-            for rows, sgn, ivol in ((rows_lo, 1.0, ivol_lo), (rows_hi, -1.0, ivol_hi)):
-                coo.add(rows, cols_lo, sgn * ivol * tp * w_lo)
-                coo.add(rows, cols_hi, sgn * ivol * tp * w_hi)
+            ivol_lo, ivol_hi = _neighbours(inv_vol, j, 0.0)
+            for rows, sgn, ivol in ((ui_lo, 1.0, ivol_lo), (ui_hi, -1.0, ivol_hi)):
+                coo.add(rows, ui_lo, sgn * ivol * tp * w_lo)
+                coo.add(rows, ui_hi, sgn * ivol * tp * w_hi)
     return coo.build((dofs.n_dofs, dofs.n_dofs))
 
 
@@ -748,20 +641,13 @@ def transport_matrix(mesh: MacMesh, u: VelocityField):
     cells = _cell_ids(mesh)
     inv_vol = 1.0 / mesh.cell_volumes
     for i in range(mesh.dim):
-        us = u.shaped(i)
-        area = mesh.face_measures(i)
-        inner = [slice(None)] * mesh.dim
-        inner[i] = slice(1, mesh.n[i])
-        u_in = us[tuple(inner)]
-        a_in = area[tuple(inner)]
+        inner = _slab(mesh.dim, i, 1, -1)
+        u_in = u.shaped(i)[inner]
+        a_in = mesh.face_measures(i)[inner]
         up = a_in * np.maximum(u_in, 0.0)      # donor: cell behind
         dn = a_in * np.maximum(-u_in, 0.0)     # donor: cell ahead
-        behind = [slice(None)] * mesh.dim
-        ahead = [slice(None)] * mesh.dim
-        behind[i] = slice(0, mesh.n[i] - 1)
-        ahead[i] = slice(1, mesh.n[i])
-        kb, ka = cells[tuple(behind)], cells[tuple(ahead)]
-        vb, va = inv_vol[tuple(behind)], inv_vol[tuple(ahead)]
+        kb, ka = _neighbours(cells, i)
+        vb, va = _neighbours(inv_vol, i)
         # flux in +e_i: phi = up * rho_b - dn * rho_a; +phi out of behind cell
         coo.add(kb, kb, vb * up)
         coo.add(kb, ka, -vb * dn)

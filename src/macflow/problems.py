@@ -137,12 +137,16 @@ def viscosity_from_params(params, default):
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("mu_law must be an object with a 'type' key")
     kind = spec["type"]
-    if kind == "constant":
-        return constant_viscosity(spec["value"])
-    if kind == "linear":
-        return linear_viscosity(spec["a"], spec["b"])
-    if kind == "table":
-        return table_viscosity(spec["rho"], spec["mu"])
+    try:
+        if kind == "constant":
+            return constant_viscosity(spec["value"])
+        if kind == "linear":
+            return linear_viscosity(spec["a"], spec["b"])
+        if kind == "table":
+            return table_viscosity(spec["rho"], spec["mu"])
+    except KeyError as exc:
+        raise ValueError(f"mu_law of type {kind!r} needs the key "
+                         f"{exc.args[0]!r}") from None
     raise ValueError(f"unknown viscosity law type {kind!r}")
 
 

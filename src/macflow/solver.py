@@ -518,7 +518,7 @@ def _picard_step(state, cfg, mu_law, f_faces, solver, stats):
         t=state.t + dt,
         rho=rho_final,
         u=u_iter,
-        p=CellScalarField(rho_final.mesh, p_new.values),
+        p=p_new,
         rho_dual=ops.dual_cell_density(rho_final),
         rho_bounds=state.rho_bounds,
     )

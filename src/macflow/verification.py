@@ -17,7 +17,7 @@ from .fields import (CellScalarField, VelocityField, norm_h1, norm_l2,
                      norm_lp, project_cell, project_face,
                      reconstruct_cell_to_face, reconstruct_face_to_cell,
                      reconstruct_face_to_pair, velocity_inner)
-from .mesh import MacMesh, mesh_metrics
+from .mesh import MacMesh, _slab, mesh_metrics
 
 __all__ = [
     "DiagnosticsRecord",
@@ -552,10 +552,8 @@ def _bv_sum(mesh, rho, u):
     rs = rho.shaped
     total = 0.0
     for i in range(mesh.dim):
-        us = u.shaped(i)
-        inner = [slice(None)] * mesh.dim
-        inner[i] = slice(1, mesh.n[i])
-        area = mesh.face_measures(i)[tuple(inner)]
+        inner = _slab(mesh.dim, i, 1, -1)
+        area = mesh.face_measures(i)[inner]
         jump = np.diff(rs, axis=i)
-        total += float(np.sum(area * jump ** 2 * np.abs(us[tuple(inner)])))
+        total += float(np.sum(area * jump ** 2 * np.abs(u.shaped(i)[inner])))
     return total

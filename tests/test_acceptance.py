@@ -32,6 +32,14 @@ def mesh33():
 
 
 @pytest.fixture(scope="module")
+def mesh345():
+    """Stretched 3d grid: every cross-axis pair has its own anisotropy."""
+    return build_mesh([AxisPartition.geometric(0.0, 1.0, 3, 2.0),
+                       AxisPartition.geometric(0.0, 1.0, 4, 3.0),
+                       AxisPartition.geometric(0.0, 1.0, 5, 1.5)])
+
+
+@pytest.fixture(scope="module")
 def rt_results():
     """Rayleigh-Taylor invariants run (gravity) and the decay variant
     (zero forcing, seeded velocity) on the 32x64 grid, 100 steps each."""
@@ -110,13 +118,15 @@ def _dense_from_apply(apply_fn, n_in, n_out):
 
 
 class TestCriterion3OracleEquivalence:
-    def test_assembled_matrices_match_applies(self, mesh33):
-        mesh = mesh33
+    @pytest.mark.parametrize("mesh_name", ["mesh33", "mesh345"])
+    def test_assembled_matrices_match_applies(self, mesh_name, request):
+        mesh = request.getfixturevalue(mesh_name)
         rng = np.random.default_rng(RNG_SEED)
         dofs = ops.FaceDofMap(mesh)
         rho = CellScalarField(mesh, rng.uniform(1.0, 2.0, mesh.n_cells))
         adv = VelocityField.from_interior(
-            mesh, [rng.uniform(-1, 1, mesh.faces_shape(i)) for i in range(2)])
+            mesh, [rng.uniform(-1, 1, mesh.faces_shape(i))
+                   for i in range(mesh.dim)])
         mu_t = ops.viscosity_tensor(rho, lambda r: 0.1 + 0.2 * r)
         fluxes = ops.mass_fluxes(rho, adv)
 
@@ -124,7 +134,7 @@ class TestCriterion3OracleEquivalence:
             def fn(vec):
                 u = VelocityField(mesh, dofs.unpack(vec))
                 res = op(u)
-                return dofs.pack([res.shaped(i) for i in range(2)])
+                return dofs.pack([res.shaped(i) for i in range(mesh.dim)])
             return fn
 
         pairs = {
@@ -139,7 +149,7 @@ class TestCriterion3OracleEquivalence:
                 _dense_from_apply(
                     lambda q: dofs.pack([
                         ops.pressure_gradient(CellScalarField(mesh, q))
-                        .shaped(i) for i in range(2)]),
+                        .shaped(i) for i in range(mesh.dim)]),
                     mesh.n_cells, dofs.n_dofs)),
             "diffusion": (
                 ops.diffusion_matrix(mesh, mu_t, dofs).toarray(),
@@ -164,7 +174,7 @@ class TestCriterion3OracleEquivalence:
                     mesh.n_cells, mesh.n_cells)),
         }
         worst = {name: np.max(np.abs(a - b)) for name, (a, b) in pairs.items()}
-        _report("criterion 3a (matrix vs matrix-free)",
+        _report(f"criterion 3a (matrix vs matrix-free, {mesh})",
                 max(worst.values()) <= 1e-13,
                 "max abs diff " + ", ".join(f"{k}={v:.1e}"
                                             for k, v in worst.items()))
@@ -173,7 +183,10 @@ class TestCriterion3OracleEquivalence:
         rng = np.random.default_rng(RNG_SEED + 1)
         rho = CellScalarField(mesh33, rng.uniform(1.0, 2.0, mesh33.n_cells))
         mu_t = ops.viscosity_tensor(rho, lambda r: r)
-        mat = ops.diffusion_matrix(mesh33, mu_t, weighted=True).toarray()
+        dofs = ops.FaceDofMap(mesh33)
+        # rows scaled by |D_sigma|: the matrix of the bilinear form
+        vol = dofs.pack([mesh33.dual_volumes(i) for i in range(mesh33.dim)])
+        mat = vol[:, None] * ops.diffusion_matrix(mesh33, mu_t, dofs).toarray()
         asym = np.max(np.abs(mat - mat.T))
         scale = np.max(np.abs(mat))
         _report("criterion 3b (diffusion symmetry)", asym <= 1e-12 * scale,

@@ -90,6 +90,22 @@ class TestRunCommand:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("overrides, key_path", [
+        ({"convergence": {"levels": [4, "x", 8], "dt_coarsest": 0.1,
+                          "t_end": 0.1}}, "convergence.levels[1]"),
+        ({"convergence": {"levels": [4, 6, 8], "dt_coarsest": 0.1,
+                          "t_end": 0.1, "reference_n": "big"}},
+         "convergence.reference_n"),
+        ({"problem": {"name": "mms_b",
+                      "params": {"mu_law": {"type": "constant"}}}}, "problem"),
+    ], ids=["levels", "reference_n", "mu_law"])
+    def test_malformed_value_exit_code(self, tmp_path, capsys, overrides,
+                                       key_path):
+        cfg = small_run_config(tmp_path, **overrides)
+        assert main(["run", "--config", cfg,
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        assert f"configuration error: {key_path}:" in capsys.readouterr().err
+
     def test_solver_failure_exit_code(self, tmp_path):
         cfg = small_run_config(
             tmp_path,

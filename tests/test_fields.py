@@ -17,11 +17,6 @@ class TestFieldInvariants:
         with pytest.raises(FieldError):
             CellScalarField(mesh22, np.zeros(5))
 
-    def test_zero_mean_flag(self, mesh22):
-        CellScalarField(mesh22, [1.0, -1.0, 1.0, -1.0], zero_mean=True)
-        with pytest.raises(FieldError):
-            CellScalarField(mesh22, [1.0, 1.0, 1.0, -1.0], zero_mean=True)
-
     def test_exterior_entries_must_vanish(self, mesh22):
         comps = [np.ones(mesh22.n_faces(i)) for i in range(2)]
         with pytest.raises(FieldError):
