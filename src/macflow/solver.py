@@ -13,13 +13,20 @@ the right-hand side.
 
 Linear solves follow one policy.  Transport systems are solved by
 Jacobi-preconditioned BiCGSTAB, whose answer is accepted only within that
-max-norm bound; otherwise the system is factored directly.  In 2d,
-:class:`LinearSolve` keeps the SuperLU factor of the first reduced
-stream-function system of a run and solves every later one by GMRES, applied
-matrix-free and preconditioned by that lagged factor (Knoll & Keyes,
-J. Comput. Phys. 193, 2004).  It refactors only when GMRES stagnates or the
-residual check of the original equations fails.  A 2d step whose Picard
-loop stalls is retried once with every reduced system factored afresh.
+max-norm bound; otherwise the system is factored directly.  The momentum
+system goes through :class:`LinearSolve`, which keeps the SuperLU factors of
+the first system of a run and solves every later one by GMRES, applied
+matrix-free and preconditioned by those lagged factors (Knoll & Keyes,
+J. Comput. Phys. 193, 2004).  In 2d the factor is that of the reduced
+stream-function system.  In 3d the preconditioner is block upper-triangular
+(Cahouet & Chabard, IJNMF 8, 1988; Elman, Silvester & Wathen, Finite
+Elements and Fast Iterative Solvers, 2nd ed., 2014, ch. 9): a factor of the
+velocity block and a variable-density Cahouet-Chabard approximation of the
+pressure Schur complement.  Factors are rebuilt only when GMRES misses its
+target in one cycle or the residual check of the original equations fails;
+in 3d, when the fresh factors fail too, the saddle system is factored and
+solved directly.  A step whose Picard loop stalls is retried once with
+every momentum system solved directly.
 """
 
 from dataclasses import dataclass
@@ -59,10 +66,13 @@ TRANSPORT_MAXITER = 50     # BiCGSTAB iterations before the direct fallback
 # the Picard loop stalls above picard_tol = 1e-10 with 1e-13.  The roundoff
 # floor of that residual grows with the grid (up to ~3e-14 at 256^2, where
 # a direct solve is no more accurate), so an answer that misses REDUCED_RTOL
-# is still kept at REDUCED_ACCEPT or below.
+# is still kept at REDUCED_ACCEPT or below.  GMRES on the 3d saddle system
+# uses the same two bounds.
 REDUCED_RTOL = 1e-15
 REDUCED_ACCEPT = 1e-13
 GMRES_RESTART = 20         # one cycle; missing REDUCED_ACCEPT is stagnation
+SADDLE_RESTART = 40        # the same for the block-preconditioned saddle
+                           # system, which takes ~20 iterations at 10^3
 
 
 class SolverError(RuntimeError):
@@ -159,8 +169,10 @@ class StepStats:
 
 
 def _splu(matrix, what, symmetric_pattern=False):
-    # MMD on the A^T+A pattern beats COLAMD on the Poisson-like reduced
-    # systems but degrades badly on the indefinite saddle matrix
+    # MMD on the A^T+A pattern beats COLAMD on the 2d reduced systems, the
+    # pressure recovery system, the 3d velocity block and the bordered
+    # pressure Laplacian, but degrades badly on the indefinite saddle
+    # matrix, which keeps COLAMD
     kwargs = {"permc_spec": "MMD_AT_PLUS_A"} if symmetric_pattern else {}
     try:
         return spla.splu(matrix.tocsc(), **kwargs)
@@ -218,51 +230,70 @@ def transport_solve(rho_n: CellScalarField, u: VelocityField, dt,
 class LinearSolve:
     """Lagged-factor solve of a sequence of slowly changing systems.
 
-    Holds the SuperLU factor of the last system it assembled and solves each
-    later system by GMRES, applied matrix-free and preconditioned by that
-    stale factor.  The factor is rebuilt, and the system solved directly
-    with it, when GMRES does not reach ``REDUCED_ACCEPT`` within one cycle
-    of ``GMRES_RESTART`` iterations or when the caller's check of the
-    original equations rejects the Krylov answer.  The old factor is
-    dropped before the new system is assembled, and the assembled matrix is
-    dropped once factored, so a held factor never coexists with an
-    assembled matrix (together they would raise the peak memory of a 256^2
-    run by about a fifth).  The factorization uses the MMD ordering on the
-    A^T+A pattern, which suits the Poisson-like reduced systems it serves.
-    With ``lagged`` False every system is factored afresh.
+    Holds the preconditioner that ``factor()`` built from the factors of an
+    earlier system and solves each later system by GMRES, applied
+    matrix-free and preconditioned by those stale factors.  The factors are
+    rebuilt when GMRES does not reach ``REDUCED_ACCEPT`` within one cycle
+    of ``restart`` iterations or when the caller's check of the original
+    equations rejects the Krylov answer.  Without ``direct`` the
+    preconditioner is the exact inverse of the system it was factored from,
+    and the fresh factors solve the system directly.  With ``direct`` it is
+    an approximation: the fresh factors precondition one more GMRES cycle,
+    and should that answer be rejected too, ``direct()`` solves the system
+    without them.  Old factors are dropped before ``factor()`` or
+    ``direct()`` assembles anything, so that held factors never coexist
+    with a newly assembled matrix (together they would raise the peak
+    memory of a 256^2 run by about a fifth).  With ``lagged`` False no
+    Krylov answer is tried: every system is factored afresh and solved
+    directly, by ``direct()`` when given.
     """
 
-    def __init__(self, what):
-        self.what = what
+    def __init__(self, restart):
+        self.restart = restart
         self.lagged = True
-        self._lu = None
+        self._precond = None
 
-    def solve(self, apply, assemble, rhs, check, tol, stats: StepStats):
-        """Solve the system whose product is ``apply(x)`` and whose matrix
-        ``assemble()`` builds, for ``rhs``.
+    def solve(self, apply, factor, rhs, check, tol, stats: StepStats,
+              direct=None):
+        """Solve the system whose product is ``apply(x)`` for ``rhs``.
 
-        ``check(x)`` maps a solution to a tuple whose last entry is the
-        residual of the original equations; a Krylov answer is returned
-        only when that residual is at most ``tol``.  The answer of a fresh
-        factor is returned whatever its residual: rejecting it is the
-        caller's job."""
-        if self.lagged and self._lu is not None:
-            x = self._krylov(apply, rhs, stats)
-            if x is not None:
-                out = check(x)
-                if out[-1] <= tol:
-                    return out
-        self._lu = None     # freed before assemble() allocates
-        self._lu = _splu(assemble(), self.what, symmetric_pattern=True)
-        stats.factorizations += 1
-        return check(self._lu.solve(rhs))
+        ``factor()`` factors the current system, counting its
+        factorizations into ``stats``, and returns the preconditioner as a
+        function of a residual.  ``check(x)`` maps a solution to a tuple
+        whose last entry is the residual of the original equations; a
+        Krylov answer is returned only when that residual is at most
+        ``tol``.  A direct answer is returned whatever its residual:
+        rejecting it is the caller's job."""
+        if self.lagged and self._precond is not None:
+            out = self._attempt(apply, rhs, check, tol, stats)
+            if out is not None:
+                return out
+        if direct is None:
+            self._precond = None    # freed before factor() allocates
+            self._precond = factor()
+            return check(self._precond(rhs))
+        self._precond = None
+        if self.lagged:
+            self._precond = factor()
+            out = self._attempt(apply, rhs, check, tol, stats)
+            if out is not None:
+                return out
+            self._precond = None
+        return check(direct())
+
+    def _attempt(self, apply, rhs, check, tol, stats):
+        x = self._krylov(apply, rhs, stats)
+        if x is None:
+            return None
+        out = check(x)
+        return out if out[-1] <= tol else None
 
     def _krylov(self, apply, rhs, stats):
         # left preconditioning spelled out, so that GMRES tests M^-1 r,
         # which approximates the error: the true residual of the reduced
         # system has a roundoff floor that grows with its condition number
         n = rhs.size
-        solve = self._lu.solve
+        solve = self._precond
         op = spla.LinearOperator((n, n), matvec=lambda v: solve(apply(v)),
                                  dtype=float)
         pr_norm = np.inf    # GMRES's estimate of it, relative, at its last step
@@ -273,7 +304,7 @@ class LinearSolve:
             pr_norm = value
 
         x, info = spla.gmres(op, solve(rhs), rtol=REDUCED_RTOL,
-                             restart=GMRES_RESTART, maxiter=1, callback=count,
+                             restart=self.restart, maxiter=1, callback=count,
                              callback_type="pr_norm")
         return x if info == 0 or pr_norm <= REDUCED_ACCEPT else None
 
@@ -320,21 +351,29 @@ def _stream_curl_matrix(mesh: MacMesh, dofs: ops.FaceDofMap):
 
 
 class StepSolver:
-    """Holds the mesh-constant blocks of the velocity-pressure solve.
+    """Holds the mesh-constant blocks of the velocity-pressure solve and
+    the :class:`LinearSolve` policy (``linear``) of its momentum systems.
 
     The route follows the dimension.  In 2d the divergence constraint is
     eliminated through the stream-function parametrization ("nullspace"),
     followed by a pressure recovery from a pre-factorized normal-equation
-    Poisson system.  The reduced system ``curl^T W A curl`` goes through a
-    :class:`LinearSolve`: the first one of a run is factored, and every
-    later one is solved by GMRES preconditioned with that lagged factor,
-    with ``A`` applied matrix-free; the factor is rebuilt only when GMRES
-    stagnates or the residual check below fails.  The pressure recovery and
-    the check apply the same matrix-free ``A``.  In 3d the Lagrange-augmented
-    saddle system is factored and solved directly ("saddle") on every call.
-    ``method`` overrides the choice only so that tests can run the
-    algebraically equivalent 2d saddle route as a reference.  Both routes
-    check the residual of the original equations against ``linear_tol``.
+    Poisson system.  The first reduced system ``curl^T W A curl`` of a run
+    is factored, and every later one is solved by GMRES preconditioned with
+    that lagged factor.  In 3d ("saddle") the Lagrange-bordered system
+    ``[[A, G, 0], [D, 0, m], [0, m^T, 0]]`` is solved by GMRES, preconditioned
+    block upper-triangularly: the pressure part ``z_p = L^-1 r_p / dt -
+    (mu_K/|K|) r_p``, projected to the mean the last row asks for, where
+    ``L = D diag(1/rho_D) G`` bordered by the cell volumes ``m`` is factored
+    and its bordered solve also gives the multiplier; then the velocity
+    part ``z_u = A^-1 (r_u - G z_p)`` from a factor of ``A``.  Both factors
+    are held like the 2d one; when GMRES fails with fresh factors too, the
+    saddle matrix is factored and solved directly, with one step of
+    iterative refinement.  ``A`` is applied matrix-free on both routes and
+    the factors are rebuilt only when GMRES misses its target or the
+    residual check below fails.  ``method`` overrides the choice only so
+    that tests can run the algebraically equivalent 2d saddle route as a
+    reference.  Both routes check the residual of the original equations
+    against ``linear_tol``.
     """
 
     def __init__(self, mesh: MacMesh, method=None):
@@ -351,6 +390,8 @@ class StepSolver:
         if method == "nullspace" and mesh.dim != 2:
             raise SolverError("the stream-function route only exists in 2d")
         self.method = method
+        self.linear = LinearSolve(GMRES_RESTART if method == "nullspace"
+                                  else SADDLE_RESTART)
         if method == "nullspace":
             self.curl = _stream_curl_matrix(mesh, self.dofs)
             self.weight = sp.diags(self.dual_vol)
@@ -359,7 +400,6 @@ class StepSolver:
             aug = sp.bmat([[gw, m[:, None]], [m[None, :], None]], format="csc")
             self._pressure_lu = _splu(aug, "pressure recovery system",
                                       symmetric_pattern=True)
-            self.reduced = LinearSolve("reduced momentum system")
 
     def _assemble_momentum(self, rho_dual_new, fluxes, mu_t, dt, scheme):
         return (sp.diags(self.dofs.pack(rho_dual_new) / dt)
@@ -389,6 +429,94 @@ class StepSolver:
         res_mean = abs(float(np.dot(self.cell_vol, p_vec)))
         return float((res_mom + res_div + res_mean) / max(np.linalg.norm(b), 1.0))
 
+    def _reduced(self, apply, assemble, b, linear_tol, stats):
+        """2d: the reduced stream-function system, then the pressure."""
+        nc = self.mesh.n_cells
+        curl, weight = self.curl, self.weight
+
+        def apply_reduced(psi):
+            return curl.T @ (weight @ apply(curl @ psi))
+
+        def factor_reduced():
+            # A and the CSR product are freed before SuperLU allocates
+            lu = _splu((curl.T @ (weight @ (assemble() @ curl))).tocsc(),
+                       "reduced momentum system", symmetric_pattern=True)
+            stats.factorizations += 1
+            return lu.solve
+
+        def recover(psi):
+            u_vec = curl @ psi
+            Au = apply(u_vec)
+            p_rhs = np.zeros(nc + 1)
+            p_rhs[:nc] = self.grad.T @ (weight @ (b - Au))
+            p_vec = self._pressure_lu.solve(p_rhs)[:nc]
+            return u_vec, p_vec, self._residual(Au, u_vec, p_vec, b)
+
+        return self.linear.solve(apply_reduced, factor_reduced,
+                                 curl.T @ (weight @ b), recover, linear_tol,
+                                 stats)
+
+    def _saddle(self, apply, assemble, b, rho_dual_new, mu_t, dt, linear_tol,
+                stats):
+        """The bordered saddle system, block-preconditioned (see the class
+        docstring)."""
+        nu, nc = b.size, self.mesh.n_cells
+        grad, div_c, m = self.grad, self.div_c, self.cell_vol
+        rhs = np.zeros(nu + nc + 1)
+        rhs[:nu] = b
+
+        def apply_saddle(x):
+            u_vec, p_vec = x[:nu], x[nu:nu + nc]
+            out = np.empty_like(x)
+            out[:nu] = apply(u_vec) + grad @ p_vec
+            out[nu:nu + nc] = div_c @ u_vec + m * x[-1]
+            out[-1] = np.dot(m, p_vec)
+            return out
+
+        def factor_blocks():
+            a_lu = _splu(assemble().tocsc(), "momentum block",
+                         symmetric_pattern=True)
+            stats.factorizations += 1
+            lap = div_c @ sp.diags(1.0 / self.dofs.pack(rho_dual_new)) @ grad
+            l_lu = _splu(sp.bmat([[lap, m[:, None]], [m[None, :], None]],
+                                 format="csc"),
+                         "pressure Schur approximation", symmetric_pattern=True)
+            stats.factorizations += 1
+            visc = mu_t.mu_cells.ravel() / m
+            vol = self.mesh.domain_measure
+
+            def precond(r):
+                # the bordered solve gives L^-1 r_p with the mean the last
+                # row asks for, and the multiplier; the viscous part is
+                # projected to zero mean so that it keeps that mean
+                y = l_lu.solve(np.append(r[nu:nu + nc], dt * r[-1]))
+                v = visc * (r[nu:nu + nc] - m * y[-1])
+                v -= np.dot(m, v) / vol
+                z_p = y[:nc] / dt - v
+                return np.concatenate([a_lu.solve(r[:nu] - grad @ z_p), z_p,
+                                       y[-1:]])
+
+            return precond
+
+        def direct():
+            K = sp.bmat([[assemble(), grad, None],
+                         [div_c, None, m[:, None]],
+                         [None, m[None, :], None]], format="csc")
+            lu = _splu(K, "momentum saddle system")
+            stats.factorizations += 1
+            sol = lu.solve(rhs)
+            # one step of iterative refinement with the same factor: the
+            # pivoting on the indefinite matrix alone leaves max |div u|
+            # near the 1e-10 that step_audit flags on stretched 3d grids
+            return sol + lu.solve(rhs - K @ sol)
+
+        def split(x):
+            u_vec, p_vec = x[:nu], x[nu:nu + nc]
+            return u_vec, p_vec, self._residual(apply(u_vec), u_vec, p_vec, b)
+
+        return self.linear.solve(apply_saddle, factor_blocks, rhs, split,
+                                 linear_tol, stats, direct)
+
     def momentum_solve(self, rho_dual_new, rho_dual_old, u_old: VelocityField,
                        fluxes: ops.MassFluxSet, mu_t, f_faces, dt,
                        scheme="centered", linear_tol=1e-9,
@@ -399,54 +527,22 @@ class StepSolver:
         ``stats`` when given."""
         stats = StepStats() if stats is None else stats
         mesh, dofs = self.mesh, self.dofs
-        nu, nc = dofs.n_dofs, mesh.n_cells
         b = dofs.pack(rho_dual_old) * dofs.pack(
             [u_old.shaped(i) for i in range(mesh.dim)]) / dt
         if f_faces is not None:
             b = b + dofs.pack(f_faces)
+        apply = self._momentum_apply(rho_dual_new, fluxes, mu_t, dt, scheme)
+
+        def assemble():
+            return self._assemble_momentum(rho_dual_new, fluxes, mu_t, dt,
+                                           scheme)
+
         if self.method == "saddle":
-            A = self._assemble_momentum(rho_dual_new, fluxes, mu_t, dt, scheme)
-            m = self.cell_vol
-            K = sp.bmat(
-                [[A, self.grad, None],
-                 [self.div_c, None, m[:, None]],
-                 [None, m[None, :], None]],
-                format="csc")
-            rhs = np.zeros(nu + nc + 1)
-            rhs[:nu] = b
-            lu = _splu(K, "momentum saddle system")
-            stats.factorizations += 1
-            sol = lu.solve(rhs)
-            # one step of iterative refinement with the same factor: the
-            # pivoting on the indefinite matrix alone leaves max |div u|
-            # near the 1e-10 that step_audit flags on stretched 3d grids
-            sol += lu.solve(rhs - K @ sol)
-            u_vec = sol[:nu]
-            p_vec = sol[nu:nu + nc]
-            res = self._residual(A @ u_vec, u_vec, p_vec, b)
+            u_vec, p_vec, res = self._saddle(apply, assemble, b, rho_dual_new,
+                                             mu_t, dt, linear_tol, stats)
         else:
-            apply = self._momentum_apply(rho_dual_new, fluxes, mu_t, dt, scheme)
-            curl, weight = self.curl, self.weight
-
-            def apply_reduced(psi):
-                return curl.T @ (weight @ apply(curl @ psi))
-
-            def assemble_reduced():
-                A = self._assemble_momentum(rho_dual_new, fluxes, mu_t, dt,
-                                            scheme)
-                return (curl.T @ (weight @ (A @ curl))).tocsc()
-
-            def recover(psi):
-                u_vec = curl @ psi
-                Au = apply(u_vec)
-                p_rhs = np.zeros(nc + 1)
-                p_rhs[:nc] = self.grad.T @ (weight @ (b - Au))
-                p_vec = self._pressure_lu.solve(p_rhs)[:nc]
-                return u_vec, p_vec, self._residual(Au, u_vec, p_vec, b)
-
-            u_vec, p_vec, res = self.reduced.solve(
-                apply_reduced, assemble_reduced, curl.T @ (weight @ b),
-                recover, linear_tol, stats)
+            u_vec, p_vec, res = self._reduced(apply, assemble, b, linear_tol,
+                                              stats)
         if res > linear_tol:
             raise LinearSolveError(
                 f"momentum solve residual {res:g} above bound {linear_tol:g}; "
@@ -465,23 +561,23 @@ def advance_timestep(state: TimeState, cfg: SolverConfig, mu_law,
     full per-direction arrays) or None.  Returns ``(new_state, StepStats)``;
     raises :class:`PicardDivergenceError` when the iteration cap is hit (a
     solver signal: a solution of the nonlinear system exists regardless).
-    In 2d a stalled step is first retried with every reduced system
-    factored afresh: a lagged-factor answer within ``linear_tol`` can still
-    hold the Picard residual above a ``picard_tol`` near its roundoff floor.
-    The returned stats count the work of both attempts.
+    A stalled step is first retried with every momentum system solved
+    directly (see :class:`LinearSolve`): a lagged-factor answer within
+    ``linear_tol`` can still hold the Picard residual above a
+    ``picard_tol`` near its roundoff floor.  The returned stats count the
+    work of both attempts.
     """
     solver = step_solver or StepSolver(state.rho.mesh)
     stats = StepStats()
     try:
         return _picard_step(state, cfg, mu_law, f_faces, solver, stats)
     except PicardDivergenceError:
-        if solver.method != "nullspace":
-            raise
-    solver.reduced.lagged = False
+        pass
+    solver.linear.lagged = False
     try:
         return _picard_step(state, cfg, mu_law, f_faces, solver, stats)
     finally:
-        solver.reduced.lagged = True
+        solver.linear.lagged = True
 
 
 def _picard_step(state, cfg, mu_law, f_faces, solver, stats):

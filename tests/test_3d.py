@@ -1,13 +1,20 @@
 """The geometry and operator code paths are dimension-generic; exercise them
-once on a small 3d grid (full acceptance coverage is 2d)."""
+once on a small 3d grid (full acceptance coverage is 2d), and the 3d saddle
+solve: block-preconditioned GMRES with held factors and its fallback chain."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from conftest import KrylovStall, SpluFault
 from macflow import operators as ops
 from macflow.fields import CellScalarField, VelocityField, norm_h1
 from macflow.mesh import AxisPartition, build_mesh
-from macflow.solver import StepSolver, transport_solve
+from macflow.problems import Problem, linear_viscosity
+from macflow.solver import (LinearSolveError, SolverConfig, SolverError,
+                            StepSolver, StepStats, advance_timestep,
+                            initial_state, run_simulation, transport_solve)
 from macflow.verification import check_dualities
 
 
@@ -59,3 +66,243 @@ def test_saddle_solve_is_divergence_free_on_stretched_3d(rng):
     u, _, _ = StepSolver(mesh).momentum_solve(
         rho_dual, rho_dual, adv, ops.mass_fluxes(rho, adv), mu_t, f, 0.01)
     assert np.max(np.abs(ops.divergence(u).values)) <= 1e-12
+
+
+def stretched_mesh(n):
+    return build_mesh([AxisPartition.geometric(0.0, 1.0, n, 3.0)] * 3)
+
+
+def _g(s):
+    return s * s * (1.0 - s) ** 2
+
+
+def _dg(s):
+    return 2.0 * s - 6.0 * s ** 2 + 4.0 * s ** 3
+
+
+def stirred_problem(mesh):
+    """A solenoidal vortex u = 60 grad(g(x) g(y) g(z)) x e, which vanishes
+    on every wall, in a sinusoidal density under buoyancy along z."""
+    axis = np.array([1.0, 2.0, 2.0]) / 3.0
+
+    def velocity(k):
+        a, b = (k + 1) % 3, (k + 2) % 3
+
+        def u(x, y, z):
+            gp = (_dg(x) * _g(y) * _g(z), _g(x) * _dg(y) * _g(z),
+                  _g(x) * _g(y) * _dg(z))
+            return 60.0 * (gp[a] * axis[b] - gp[b] * axis[a])
+        return u
+
+    def rho0(x, y, z):
+        return 1.5 + 0.5 * (np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
+                            * np.sin(2 * np.pi * z))
+
+    def zero(t, x, y, z):
+        return np.zeros_like(np.asarray(x, dtype=float))
+
+    def buoyancy(t, x, y, z):
+        return -2.0 * (rho0(x, y, z) - 1.5)
+
+    return Problem(name="stirred", mesh=mesh, rho0=rho0,
+                   u0=(velocity(0), velocity(1), velocity(2)),
+                   mu_law=linear_viscosity(0.1, 0.05),
+                   forcing=(zero, zero, buoyancy),
+                   time_independent_forcing=True)
+
+
+class TestBlockPreconditionedSaddle:
+    """The 3d saddle system is solved by GMRES preconditioned with a held
+    velocity-block factor and a variable-density Cahouet-Chabard pressure
+    factor; a rejected answer refactors both, then falls back to the
+    direct saddle LU."""
+
+    DT = 0.02
+
+    @staticmethod
+    def _system(mesh, rng, near=None):
+        """A random system, or, given the density and advecting velocity
+        ``near`` of another one, a system 5% away from it, as between two
+        Picard iterations."""
+        rho = rng.uniform(1.0, 2.0, mesh.n_cells)
+        adv = [rng.uniform(-1, 1, mesh.faces_shape(i)) for i in range(3)]
+        if near is not None:
+            rho = near[0].values * (1.0 + 0.05 * (rho - 1.5))
+            adv = [near[1].shaped(i) + 0.05 * adv[i] for i in range(3)]
+        rho = CellScalarField(mesh, rho)
+        adv = VelocityField.from_interior(mesh, adv)
+        return (ops.dual_cell_density(rho), adv, ops.mass_fluxes(rho, adv),
+                ops.viscosity_tensor(rho, lambda r: 0.1 + 0.1 * r),
+                [rng.uniform(-1, 1, mesh.faces_shape(i)) for i in range(3)])
+
+    def _oracle(self, mesh, system):
+        """Direct solve of the bordered system [[A, G, 0], [D, 0, m],
+        [0, m^T, 0]] assembled here from the operator matrices."""
+        rho_dual, adv, fluxes, mu_t, f = system
+        dofs = ops.FaceDofMap(mesh)
+        A = (sp.diags(dofs.pack(rho_dual) / self.DT)
+             + ops.convection_matrix(fluxes, "centered", dofs)
+             - ops.diffusion_matrix(mesh, mu_t, dofs))
+        m = mesh.cell_volumes.ravel()
+        K = sp.bmat([[A, ops.pressure_gradient_matrix(mesh, dofs), None],
+                     [ops.divergence_constraint_matrix(mesh, dofs), None,
+                      m[:, None]],
+                     [None, m[None, :], None]], format="csc")
+        rhs = np.zeros(K.shape[0])
+        rhs[:dofs.n_dofs] = dofs.pack(rho_dual) * dofs.pack(
+            [adv.shaped(i) for i in range(3)]) / self.DT + dofs.pack(f)
+        sol = spla.spsolve(K, rhs)
+        return sol[:dofs.n_dofs], sol[dofs.n_dofs:dofs.n_dofs + mesh.n_cells]
+
+    def _solve(self, solver, system, stats, linear_tol=1e-9):
+        rho_dual, adv, fluxes, mu_t, f = system
+        return solver.momentum_solve(rho_dual, rho_dual, adv, fluxes, mu_t,
+                                     f, self.DT, linear_tol=linear_tol,
+                                     stats=stats)
+
+    def _assert_matches(self, mesh, system, u, p):
+        u_ref, p_ref = self._oracle(mesh, system)
+        u_vec = ops.FaceDofMap(mesh).pack([u.shaped(i) for i in range(3)])
+        assert np.max(np.abs(u_vec - u_ref)) <= 1e-9
+        assert np.max(np.abs(p.values - p_ref)) <= 1e-9
+
+    def test_krylov_answers_match_direct_oracle(self, rng):
+        mesh = stretched_mesh(6)
+        solver = StepSolver(mesh)
+        stats = StepStats()
+        near = None
+        for _ in range(2):
+            # a fresh factor pair first, then the held pair on nearby data
+            system = self._system(mesh, rng, near)
+            iterations = stats.krylov_iterations
+            u, p, res = self._solve(solver, system, stats)
+            assert stats.factorizations == 2
+            assert stats.krylov_iterations > iterations
+            assert res <= 1e-9
+            self._assert_matches(mesh, system, u, p)
+            near = (system[2].rho, system[1])
+
+    @pytest.mark.parametrize("info", [1, 0],
+                             ids=["stagnated", "wrong_converged"])
+    def test_rejected_krylov_answer_refactors_both_blocks_once(
+            self, rng, monkeypatch, info):
+        mesh = stretched_mesh(6)
+        solver = StepSolver(mesh)
+        stats = StepStats()
+        self._solve(solver, self._system(mesh, rng), stats)
+        system = self._system(mesh, rng)
+        lu_calls = SpluFault(spla.splu)
+        monkeypatch.setattr(spla, "splu", lu_calls)
+        monkeypatch.setattr(spla, "gmres",
+                            KrylovStall(spla.gmres, stall_from=1, stall_to=1,
+                                        info=info))
+        u, p, res = self._solve(solver, system, stats)
+        assert lu_calls.calls == 2 and stats.factorizations == 4
+        assert res <= 1e-9
+        monkeypatch.undo()
+        self._assert_matches(mesh, system, u, p)
+
+    def test_second_stall_reaches_direct_saddle_lu(self, rng, monkeypatch):
+        mesh = stretched_mesh(6)
+        solver = StepSolver(mesh)
+        stats = StepStats()
+        self._solve(solver, self._system(mesh, rng), stats)
+        system = self._system(mesh, rng)
+        lu_calls = SpluFault(spla.splu)
+        stall = KrylovStall(spla.gmres, stall_from=1)
+        monkeypatch.setattr(spla, "splu", lu_calls)
+        monkeypatch.setattr(spla, "gmres", stall)
+        u, p, res = self._solve(solver, system, stats)
+        # the held pair, then the fresh pair stall; two block LUs and the
+        # saddle LU follow
+        assert stall.calls == 2
+        assert lu_calls.calls == 3 and stats.factorizations == 5
+        assert res <= 1e-9
+        monkeypatch.undo()
+        self._assert_matches(mesh, system, u, p)
+        assert np.max(np.abs(ops.divergence(u).values)) <= 1e-12
+
+    def test_direct_saddle_lu_failure_is_typed(self, rng, monkeypatch):
+        mesh = stretched_mesh(6)
+        solver = StepSolver(mesh)
+        stats = StepStats()
+        self._solve(solver, self._system(mesh, rng), stats)
+        fault = SpluFault(spla.splu, fail_from=3)
+        monkeypatch.setattr(spla, "splu", fault)
+        monkeypatch.setattr(spla, "gmres", KrylovStall(spla.gmres, stall_from=1))
+        with pytest.raises(LinearSolveError, match="momentum saddle system"):
+            self._solve(solver, self._system(mesh, rng), stats)
+        assert fault.calls == 3
+
+    def test_run_names_failing_step(self, monkeypatch):
+        problem = stirred_problem(build_mesh([AxisPartition.uniform(0, 1, 4)] * 3))
+        real, real_gmres = spla.splu, spla.gmres
+        one_step = SpluFault(real)
+        one_step_gmres = KrylovStall(real_gmres)
+        monkeypatch.setattr(spla, "splu", one_step)
+        monkeypatch.setattr(spla, "gmres", one_step_gmres)
+        run_simulation(problem, SolverConfig(dt=0.02, t_end=0.02))
+        # from step 2 on GMRES stagnates, which refactors both blocks and
+        # then reaches the direct saddle LU; fail at that LU
+        monkeypatch.setattr(spla, "gmres",
+                            KrylovStall(real_gmres,
+                                        stall_from=one_step_gmres.calls + 1))
+        fault = SpluFault(real, fail_from=one_step.calls + 3)
+        monkeypatch.setattr(spla, "splu", fault)
+        with pytest.raises(SolverError) as info:
+            run_simulation(problem, SolverConfig(dt=0.02, t_end=0.06))
+        assert info.value.step == 2
+        assert fault.calls == one_step.calls + 3
+
+    def test_blocks_factored_in_first_step_only(self):
+        mesh = stretched_mesh(6)
+        problem = stirred_problem(mesh)
+        cfg = SolverConfig(dt=self.DT, t_end=3 * self.DT)
+        state = initial_state(mesh, problem.rho0, problem.u0)
+        solver = StepSolver(mesh)
+        f = problem.forcing_faces(mesh, cfg.dt, cfg)
+        per_step = []
+        for _ in range(3):
+            state, stats = advance_timestep(state, cfg, problem.mu_law, f,
+                                            solver)
+            per_step.append(stats)
+        assert [s.factorizations for s in per_step] == [2, 0, 0]
+        assert all(s.krylov_iterations > 0 for s in per_step)
+
+    def test_stalled_picard_loop_retries_with_direct_solves(self, monkeypatch):
+        # GMRES answers within linear_tol that hold the Picard residual above
+        # picard_tol: the step is retried with the direct saddle solve
+        mesh = stretched_mesh(6)
+        problem = stirred_problem(mesh)
+        cfg = SolverConfig(dt=self.DT, t_end=self.DT, picard_max=4,
+                           linear_tol=1e-6)
+        state = initial_state(mesh, problem.rho0, problem.u0)
+        f = problem.forcing_faces(mesh, cfg.dt, cfg)
+        ref, _ = advance_timestep(state, cfg, problem.mu_law, f)
+        real = spla.gmres
+        calls = []
+
+        def loose(A, b, **kwargs):
+            calls.append(1)
+            x, _ = real(A, b, **kwargs)
+            return x * (1.0 + 1e-8), 0
+
+        monkeypatch.setattr(spla, "gmres", loose)
+        solver = StepSolver(mesh)
+        new, stats = advance_timestep(state, cfg, problem.mu_law, f, solver)
+        # every iteration of the first attempt used GMRES and ran into the
+        # cap; the retry used none
+        assert len(calls) == cfg.picard_max
+        assert max(stats.mass_residual, stats.momentum_residual) <= cfg.picard_tol
+        assert stats.factorizations >= 2 + stats.iterations
+        assert solver.linear.lagged
+        for i in range(3):
+            assert np.allclose(new.u.components[i], ref.u.components[i],
+                               rtol=0, atol=1e-9)
+
+    def test_stirred_step_audit_on_stretched_12cubed(self):
+        problem = stirred_problem(stretched_mesh(12))
+        result = run_simulation(problem, SolverConfig(dt=self.DT, t_end=self.DT))
+        (record,) = result.records
+        assert record.violations == ()
+        assert record.div_max <= 1e-12

@@ -157,6 +157,34 @@ class TestRunCommand:
         assert code == 3
         assert "solver failure at step 2" in capsys.readouterr().err
 
+    def test_3d_saddle_failure_names_step(self, tmp_path, monkeypatch,
+                                          capsys):
+        # in 3d a stalled GMRES refactors both preconditioner blocks and
+        # then falls back to the direct saddle LU; that LU fails in step 2
+        real, real_gmres = spla.splu, spla.gmres
+        one_step = SpluFault(real)
+        one_step_gmres = KrylovStall(real_gmres)
+        monkeypatch.setattr(spla, "splu", one_step)
+        monkeypatch.setattr(spla, "gmres", one_step_gmres)
+        mesh = {"axes": [{"n": 3, "lo": 0.0, "hi": 1.0}] * 3}
+        cfg = small_run_config(tmp_path, mesh=mesh,
+                               solver={"dt": 0.1, "t_end": 0.1})
+        assert main(["run", "--config", cfg,
+                     "--output-dir", str(tmp_path / "one")]) == 0
+        assert one_step.calls == 2 and one_step_gmres.calls >= 1
+        monkeypatch.setattr(spla, "gmres",
+                            KrylovStall(real_gmres,
+                                        stall_from=one_step_gmres.calls + 1))
+        fault = SpluFault(real, fail_from=one_step.calls + 3)
+        monkeypatch.setattr(spla, "splu", fault)
+        cfg = small_run_config(tmp_path, mesh=mesh,
+                               solver={"dt": 0.1, "t_end": 0.2})
+        code = main(["run", "--config", cfg,
+                     "--output-dir", str(tmp_path / "two")])
+        assert code == 3
+        assert fault.calls == one_step.calls + 3
+        assert "solver failure at step 2" in capsys.readouterr().err
+
     def test_setup_factorization_failure_names_step_zero(self, tmp_path,
                                                          monkeypatch, capsys):
         monkeypatch.setattr(spla, "splu", SpluFault(spla.splu, fail_from=1))

@@ -502,7 +502,7 @@ class TestLaggedFactor:
         assert len(calls) == cfg.picard_max - 1
         assert max(stats.mass_residual, stats.momentum_residual) <= cfg.picard_tol
         assert stats.factorizations >= 1 + stats.iterations
-        assert solver.reduced.lagged
+        assert solver.linear.lagged
         for i in range(2):
             assert np.allclose(new.u.components[i], ref.u.components[i],
                                rtol=0, atol=1e-9)
