@@ -40,9 +40,6 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="run a simulation from a config file")
     _add_common(p_run)
-    p_run.add_argument("--dump-operators", action="store_true",
-                       help="write the assembled operator matrices in "
-                            "coordinate text format")
 
     p_conv = sub.add_parser("convergence", help="refinement study")
     _add_common(p_conv)
@@ -65,7 +62,7 @@ def _cmd_run(args):
     outdir = args.output_dir
     out = setup.output
 
-    if args.dump_operators or out["dump_operators"]:
+    if out["dump_operators"]:
         mesh = setup.mesh
         dofs = ops.FaceDofMap(mesh)
         ops.dump_matrix_coo(ops.divergence_matrix(mesh, dofs),

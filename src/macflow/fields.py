@@ -58,10 +58,6 @@ class CellScalarField:
     def shaped(self):
         return self.values.reshape(self.mesh.cells_shape)
 
-    @classmethod
-    def constant(cls, mesh, value):
-        return cls(mesh, np.full(mesh.n_cells, float(value)))
-
     def __repr__(self):
         return f"CellScalarField(n={self.values.size})"
 
@@ -242,13 +238,13 @@ def reconstruct_face_to_cell(mesh: MacMesh, v, i) -> CellScalarField:
     return CellScalarField(mesh, (0.5 * (lo + hi)).ravel())
 
 
-def reconstruct_face_to_pair(mesh: MacMesh, v, i, j, alpha=0.5) -> DualGridField:
-    """Interpolate direction-i face scalars onto the (i, j) dual-dual grid
-    with weight ``alpha`` on the face behind; exterior dual faces keep
-    ``alpha * v`` of their single neighbour."""
+def reconstruct_face_to_pair(mesh: MacMesh, v, i, j) -> DualGridField:
+    """Interpolate direction-i face scalars onto the (i, j) dual-dual grid:
+    the mean of the two faces on either side of each dual face; exterior
+    dual faces keep half of their single neighbour."""
     vs = np.asarray(v, dtype=float).reshape(mesh.faces_shape(i))
     lo, hi = _neighbours(vs, j, None if i == j else 0.0)
-    return DualGridField(mesh, i, j, (alpha * lo + (1.0 - alpha) * hi).ravel())
+    return DualGridField(mesh, i, j, (0.5 * (lo + hi)).ravel())
 
 
 # -- axis stencils ---------------------------------------------------------------
@@ -326,13 +322,8 @@ def norm_h1(u: VelocityField) -> float:
             # pairs inside each cell along axis i; across axis j, the zero
             # beyond the boundary pairs with the outermost face
             lo, hi = _neighbours(us, j, None if j == i else 0.0)
-            if j == i:
-                w = _axis_view(mesh.widths[i], i, mesh.dim)
-                measure = mesh.cell_volumes / w              # |sigma~| per cell
-            else:
-                w = _axis_view(mesh.dual_widths[j], j, mesh.dim)
-                measure = mesh.pair_volumes(i, j) / w
-            total += float(np.sum(measure / w * (hi - lo) ** 2))
+            total += float(np.sum(mesh.dual_face_measures(i, j)
+                                  / mesh.dual_face_distances(i, j) * (hi - lo) ** 2))
     return float(np.sqrt(total))
 
 

@@ -151,7 +151,10 @@ class MacMesh:
     partition of an ordered pair ``(i, j)`` with ``i != j`` is the tensor
     product of the dual intervals of axes ``i`` and ``j`` with the cells of
     the remaining axes; the ``(i, i)`` partition reproduces the primal cells.
-    Both orderings of a pair share one geometric grid.
+    Both orderings of a pair share one geometric grid.  The +e_j-normal faces
+    of the direction-i control volumes sit at the cells of the (i, j) grid;
+    their distance and measure (``dual_face_distances``,
+    ``dual_face_measures``) depend on the order of the pair.
     """
 
     def __init__(self, partitions):
@@ -191,6 +194,15 @@ class MacMesh:
         self._dual_volumes = [
             _freeze(self._product(i, self.dual_widths[i])) for i in range(self.dim)
         ]
+        self._dual_face_distances = {}
+        self._dual_face_measures = {}
+        for i in range(self.dim):
+            for j in range(self.dim):
+                dist = _axis_view(self.widths[i] if j == i else self.dual_widths[j],
+                                  j, self.dim)
+                self._dual_face_distances[(i, j)] = dist
+                self._dual_face_measures[(i, j)] = _freeze(
+                    self.pair_volumes(i, j) / dist)
 
     # -- axis-product helpers -------------------------------------------------
 
@@ -263,6 +275,17 @@ class MacMesh:
             for a in range(self.dim)
         ]
         return self._outer(arrays)
+
+    def dual_face_distances(self, i, j):
+        """d_sigma~ across the +e_j-normal faces of the direction-i control
+        volumes, shaped to broadcast over the (i, j) dual-dual grid: the cell
+        width along ``i`` when ``j == i``, the dual width along ``j``
+        otherwise."""
+        return self._dual_face_distances[(i, j)]
+
+    def dual_face_measures(self, i, j):
+        """|sigma~| = |D_sigma~| / d_sigma~ on the (i, j) dual-dual grid."""
+        return self._dual_face_measures[(i, j)]
 
     # -- dual-face ids (faces of the i-th dual mesh) ----------------------------
 

@@ -8,9 +8,15 @@ Sign conventions used throughout:
 - primal mass fluxes are stored as the flux in the +e_i direction,
   ``phi_sigma = |sigma| rho_sigma u_sigma``; the flux outward a cell is
   ``+phi`` through its upper face and ``-phi`` through its lower face.
-- dual mass fluxes through the faces of a velocity control volume are stored
-  the same way: directed along +e_j on the grid they live on (primal cells
-  for the parallel case, the shared (i, j) dual-dual grid otherwise).
+- the faces of the direction-i velocity control volumes with normal e_j
+  live on the (i, j) dual-dual grid, the primal cells for ``j == i``.  Every
+  quantity on them is keyed by the ordered pair ``(i, j)``, ``(i, i)``
+  included: dual mass fluxes ``MassFluxSet.dual_phi[(i, j)]`` (stored like
+  the primal ones, directed along +e_j), viscous fluxes, gradients
+  ``d_j u_i``, and the face geometry ``MacMesh.dual_face_distances`` (d) and
+  ``MacMesh.dual_face_measures`` (|sigma~|).  Diffusion, convection and the
+  dual mass balance are all one sum of such fluxes over each control volume,
+  ``_dual_divergence``.
 
 Every operator exists both matrix-free (``*_apply`` / plain functions) and as
 an assembled sparse matrix over the interior-face unknowns; equality of the
@@ -24,8 +30,9 @@ face array whose boundary faces copy their adjacent cell).  Both sides of
 an oracle pair (a matrix-free operator and its assembled matrix, and each
 identity checked by ``verification``: ``norm_h1`` vs ``gradient_inner``,
 ``trilinear_form`` vs ``trilinear_form_reconstructed``, the convection
-duality) may share these index helpers, but never a kernel: neither side
-is computed through the other.
+duality) may share these index helpers and the mesh's geometry accessors,
+but never a kernel: neither side is computed through the other, and
+``_dual_divergence`` serves the matrix-free side only.
 """
 
 import numpy as np
@@ -77,20 +84,12 @@ class ViscosityError(ValueError):
 
 # -- gradient kernels (array level) ----------------------------------------------
 
-def _grad_parallel(mesh, us, i):
-    """d(u_i)/dx_i on primal cells."""
-    return np.diff(us, axis=i) / _axis_view(mesh.widths[i], i, mesh.dim)
-
-
-def _grad_transverse(mesh, us, i, j):
-    """d(u_i)/dx_j on the (i, j) dual-dual grid, zero ghost beyond the
-    boundary (homogeneous Dirichlet)."""
-    lo, hi = _neighbours(us, j, 0.0)
-    return (hi - lo) / _axis_view(mesh.dual_widths[j], j, mesh.dim)
-
-
 def _grad(mesh, us, i, j):
-    return _grad_parallel(mesh, us, i) if i == j else _grad_transverse(mesh, us, i, j)
+    """d(u_i)/dx_j on the (i, j) dual-dual grid: on primal cells when
+    ``j == i``, with a zero ghost beyond the boundary (homogeneous
+    Dirichlet) otherwise."""
+    lo, hi = _neighbours(us, j, None if i == j else 0.0)
+    return (hi - lo) / mesh.dual_face_distances(i, j)
 
 
 def velocity_gradient(mesh: MacMesh, u_i, i):
@@ -107,12 +106,11 @@ def strain_tensor(u: VelocityField):
     mesh = u.mesh
     out = {}
     for i in range(mesh.dim):
-        out[(i, i)] = DualGridField(
-            mesh, i, i, _grad_parallel(mesh, u.shaped(i), i).ravel())
+        out[(i, i)] = DualGridField(mesh, i, i, _grad(mesh, u.shaped(i), i, i).ravel())
     for i in range(mesh.dim):
         for j in range(i + 1, mesh.dim):
-            sym = 0.5 * (_grad_transverse(mesh, u.shaped(i), i, j)
-                         + _grad_transverse(mesh, u.shaped(j), j, i))
+            sym = 0.5 * (_grad(mesh, u.shaped(i), i, j)
+                         + _grad(mesh, u.shaped(j), j, i))
             fld = DualGridField(mesh, i, j, sym.ravel())
             out[(i, j)] = fld
             out[(j, i)] = fld
@@ -126,7 +124,7 @@ def divergence(u: VelocityField) -> CellScalarField:
     mesh = u.mesh
     acc = np.zeros(mesh.cells_shape)
     for i in range(mesh.dim):
-        acc += _grad_parallel(mesh, u.shaped(i), i)
+        acc += _grad(mesh, u.shaped(i), i, i)
     return CellScalarField(mesh, acc.ravel())
 
 
@@ -190,37 +188,43 @@ def _corner_sum(arr, i, j):
     return lo + hi
 
 
+# -- sum of dual fluxes over a velocity control volume ----------------------------
+
+def _dual_divergence(mesh, i, flux_of_j):
+    """(1/|D_sigma|) sum of the dual fluxes outward each direction-i control
+    volume, zero on exterior faces.  ``flux_of_j(j)`` is the +e_j-directed
+    flux on the (i, j) grid; for ``j == i`` it lives on the primal cells and
+    its differences fill the interior faces only."""
+    acc = np.zeros(mesh.faces_shape(i))
+    for j in range(mesh.dim):
+        flux = flux_of_j(j)
+        if j == i:
+            acc[_slab(mesh.dim, i, 1, -1)] += np.diff(flux, axis=i)
+        else:
+            acc += np.diff(flux, axis=j)
+    acc /= mesh.dual_volumes(i)
+    acc[~mesh.interior_mask(i)] = 0.0
+    return acc
+
+
 # -- diffusion --------------------------------------------------------------------
 
 def _viscous_flux(mesh, mu_t, u, i, j):
     """+e_j-directed viscous flux |sigma~| (mu/2)(d_j u_i + d_i u_j) on the
-    (i, j) grid."""
-    us = u.shaped(i)
-    if i == j:
-        cross = mesh.cell_volumes / _axis_view(mesh.widths[i], i, mesh.dim)
-        return cross * mu_t.pair(i, i) * _grad_parallel(mesh, us, i)
-    sym = _grad_transverse(mesh, us, i, j) + _grad_transverse(mesh, u.shaped(j), j, i)
-    measure = mesh.pair_volumes(i, j) / _axis_view(mesh.dual_widths[j], j, mesh.dim)
-    return measure * (0.5 * mu_t.pair(i, j)) * sym
+    (i, j) grid; on primal cells (``j == i``) both derivatives are d_i u_i."""
+    grad = _grad(mesh, u.shaped(i), i, j)
+    if j != i:
+        grad = 0.5 * (grad + _grad(mesh, u.shaped(j), j, i))
+    return mesh.dual_face_measures(i, j) * mu_t.pair(i, j) * grad
 
 
 def diffusion_apply(mu_t: ViscosityTensorField, u: VelocityField) -> VelocityField:
     """div_E(mu D(u)): per interior face, the dual-face viscous fluxes summed
     with outward signs and divided by |D_sigma|."""
     mesh = u.mesh
-    comps = []
-    for i in range(mesh.dim):
-        acc = np.zeros(mesh.faces_shape(i))
-        for j in range(mesh.dim):
-            flux = _viscous_flux(mesh, mu_t, u, i, j)
-            if j == i:
-                acc[_slab(mesh.dim, i, 1, -1)] += np.diff(flux, axis=i)
-            else:
-                acc += np.diff(flux, axis=j)
-        acc /= mesh.dual_volumes(i)
-        acc[~mesh.interior_mask(i)] = 0.0
-        comps.append(acc.ravel())
-    return VelocityField(mesh, comps)
+    return VelocityField(mesh, [
+        _dual_divergence(mesh, i, lambda j: _viscous_flux(mesh, mu_t, u, i, j)).ravel()
+        for i in range(mesh.dim)])
 
 
 def strain_product(mu_t: ViscosityTensorField, u: VelocityField,
@@ -271,10 +275,11 @@ class MassFluxSet:
 
     ``phi[i]``: +e_i-directed flux per direction-i face.
     ``rho_face[i]``: upwind face densities.
-    ``parallel_phi[i]``: dual flux through the in-cell plane, on primal cells.
-    ``transverse_phi[(i, j)]``: +e_j-directed dual flux for component i.
-    ``rho_tilde`` / ``u_hat``: the convex pair with
-    ``dual flux = |sigma~| rho_tilde u_hat`` on the same grids.
+    ``dual_phi[(i, j)]``: +e_j-directed dual flux through the faces of the
+    direction-i control volumes, on the (i, j) grid (the primal cells for
+    ``j == i``).
+    ``rho_tilde[(i, j)]`` / ``u_hat[(i, j)]``: the convex pair with
+    ``dual_phi = |sigma~| rho_tilde u_hat`` on the same grids.
     """
 
     def __init__(self, mesh, rho, u):
@@ -283,8 +288,7 @@ class MassFluxSet:
         self.u = u
         self.phi = []
         self.rho_face = []
-        self.parallel_phi = {}
-        self.transverse_phi = {}
+        self.dual_phi = {}
         self.rho_tilde = {}
         self.u_hat = {}
 
@@ -315,7 +319,7 @@ def dual_fluxes(fluxes: MassFluxSet) -> MassFluxSet:
         phi_lo, phi_hi = _neighbours(phi, i)
         r_lo, r_hi = _neighbours(fluxes.rho_face[i], i)
         u_lo, u_hi = _neighbours(us, i)
-        fluxes.parallel_phi[i] = 0.5 * (phi_lo + phi_hi)
+        fluxes.dual_phi[(i, i)] = 0.5 * (phi_lo + phi_hi)
         rsum = r_lo + r_hi
         fluxes.rho_tilde[(i, i)] = 0.5 * rsum
         mom = r_lo * u_lo + r_hi * u_hi
@@ -325,7 +329,7 @@ def dual_fluxes(fluxes: MassFluxSet) -> MassFluxSet:
             if j == i:
                 continue
             phi_lo, phi_hi = _neighbours(fluxes.phi[j], i, 0.0)
-            fluxes.transverse_phi[(i, j)] = 0.5 * (phi_lo + phi_hi)
+            fluxes.dual_phi[(i, j)] = 0.5 * (phi_lo + phi_hi)
             # measure-weighted density / flux-weighted velocity across axis i
             wlo, whi = (_axis_view(w, i, mesh.dim)
                         for w in _neighbours(mesh.widths[i], 0, 0.0))
@@ -358,16 +362,7 @@ def mass_divergence(fluxes: MassFluxSet) -> CellScalarField:
 def dual_flux_divergence(fluxes: MassFluxSet, i):
     """(1/|D_sigma|) sum of the dual fluxes outward each direction-i control
     volume (zero entries on exterior faces)."""
-    mesh = fluxes.mesh
-    acc = np.zeros(mesh.faces_shape(i))
-    acc[_slab(mesh.dim, i, 1, -1)] += np.diff(fluxes.parallel_phi[i], axis=i)
-    for j in range(mesh.dim):
-        if j == i:
-            continue
-        acc += np.diff(fluxes.transverse_phi[(i, j)], axis=j)
-    acc /= mesh.dual_volumes(i)
-    acc[~mesh.interior_mask(i)] = 0.0
-    return acc
+    return _dual_divergence(fluxes.mesh, i, lambda j: fluxes.dual_phi[(i, j)])
 
 
 def dual_cell_density(rho: CellScalarField):
@@ -398,23 +393,14 @@ def convection_apply(fluxes: MassFluxSet, v: VelocityField,
     value, outward signs; exterior dual fluxes vanish with the homogeneous
     boundary velocity."""
     mesh = fluxes.mesh
-    comps = []
-    for i in range(mesh.dim):
-        vs = v.shaped(i)
-        acc = np.zeros(mesh.faces_shape(i))
-        pp = fluxes.parallel_phi[i]
-        val = _advected_values(mesh, vs, i, i, pp, scheme)
-        acc[_slab(mesh.dim, i, 1, -1)] += np.diff(pp * val, axis=i)
-        for j in range(mesh.dim):
-            if j == i:
-                continue
-            tp = fluxes.transverse_phi[(i, j)]
-            val = _advected_values(mesh, vs, i, j, tp, scheme)
-            acc += np.diff(tp * val, axis=j)
-        acc /= mesh.dual_volumes(i)
-        acc[~mesh.interior_mask(i)] = 0.0
-        comps.append(acc.ravel())
-    return VelocityField(mesh, comps)
+
+    def flux(i, j):
+        dual_phi = fluxes.dual_phi[(i, j)]
+        return dual_phi * _advected_values(mesh, v.shaped(i), i, j, dual_phi, scheme)
+
+    return VelocityField(mesh, [
+        _dual_divergence(mesh, i, lambda j: flux(i, j)).ravel()
+        for i in range(mesh.dim)])
 
 
 def trilinear_form(fluxes: MassFluxSet, v: VelocityField, w: VelocityField,
@@ -437,12 +423,8 @@ def trilinear_form_reconstructed(fluxes: MassFluxSet, v: VelocityField,
     for i in range(mesh.dim):
         vs, ws = v.shaped(i), w.shaped(i)
         for j in range(mesh.dim):
-            dual_phi = fluxes.parallel_phi[i] if j == i else fluxes.transverse_phi[(i, j)]
-            if j == i:
-                sigma = mesh.cell_volumes / _axis_view(mesh.widths[i], i, mesh.dim)
-            else:
-                sigma = mesh.pair_volumes(i, j) / _axis_view(mesh.dual_widths[j], j, mesh.dim)
-            rho_u = dual_phi / sigma
+            dual_phi = fluxes.dual_phi[(i, j)]
+            rho_u = dual_phi / mesh.dual_face_measures(i, j)
             val = _advected_values(mesh, vs, i, j, dual_phi, scheme)
             grad_w = _grad(mesh, ws, i, j)
             total -= float(np.sum(mesh.pair_volumes(i, j) * rho_u * val * grad_w))
@@ -497,11 +479,9 @@ class _Coo:
     def __init__(self):
         self.rows, self.cols, self.vals = [], [], []
 
-    def add(self, rows, cols, vals, keep=None):
+    def add(self, rows, cols, vals):
         rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
         mask = (rows >= 0) & (cols >= 0)
-        if keep is not None:
-            mask &= keep
         self.rows.append(rows[mask].ravel())
         self.cols.append(cols[mask].ravel())
         self.vals.append(np.asarray(vals, dtype=float)[mask].ravel())
@@ -559,34 +539,25 @@ def diffusion_matrix(mesh: MacMesh, mu_t: ViscosityTensorField,
     coo = _Coo()
     for i in range(mesh.dim):
         dof_i = dofs.dof[i].reshape(mesh.faces_shape(i))
-        # parallel fluxes: cell planes
-        cross = mesh.cell_volumes / _axis_view(mesh.widths[i], i, mesh.dim)
-        k = cross * mu_t.pair(i, i) / _axis_view(mesh.widths[i], i, mesh.dim)
-        f_lo, f_hi = _neighbours(dof_i, i)
-        # flux = k (u_hi - u_lo); +flux to row lo, -flux to row hi
-        for rows, sgn in ((f_lo, 1.0), (f_hi, -1.0)):
-            coo.add(rows, f_hi, sgn * k)
-            coo.add(rows, f_lo, -sgn * k)
         for j in range(mesh.dim):
-            if j == i:
-                continue
-            dof_j = dofs.dof[j].reshape(mesh.faces_shape(j))
-            vols = mesh.pair_volumes(i, j)
-            measure = vols / _axis_view(mesh.dual_widths[j], j, mesh.dim)
-            half_mu = 0.5 * mu_t.pair(i, j)
-            coef = measure * half_mu
-            # ids of u_i below/above the dual face (ghost -> -1): the columns
-            # of d_j u_i and the rows sigma(f, g-1), sigma(f, g)
-            ui_lo, ui_hi = _neighbours(dof_i, j, -1)
-            inv_dwj = 1.0 / _axis_view(mesh.dual_widths[j], j, mesh.dim)
-            # column ids of u_j behind/ahead across axis i
-            uj_lo, uj_hi = _neighbours(dof_j, i, -1)
-            inv_dwi = 1.0 / _axis_view(mesh.dual_widths[i], i, mesh.dim)
+            # flux = |sigma~| mu (d_j u_i + d_i u_j) / 2 through each (i, j)
+            # dual face, +flux to the row below it, -flux to the row above;
+            # on primal cells (j == i) both derivatives are d_i u_i
+            coef = mesh.dual_face_measures(i, j) * mu_t.pair(i, j)
+            # ids of u_i below/above the dual face (ghost -> -1): the rows,
+            # and the columns of d_j u_i
+            ui_lo, ui_hi = _neighbours(dof_i, j, None if j == i else -1)
+            derivatives = [(ui_lo, ui_hi, mesh.dual_face_distances(i, j))]
+            if j != i:
+                coef = 0.5 * coef
+                # column ids of u_j behind/ahead across axis i
+                dof_j = dofs.dof[j].reshape(mesh.faces_shape(j))
+                derivatives.append((*_neighbours(dof_j, i, -1),
+                                    mesh.dual_face_distances(j, i)))
             for rows, sgn in ((ui_lo, 1.0), (ui_hi, -1.0)):
-                coo.add(rows, ui_hi, sgn * coef * inv_dwj)
-                coo.add(rows, ui_lo, -sgn * coef * inv_dwj)
-                coo.add(rows, uj_hi, sgn * coef * inv_dwi)
-                coo.add(rows, uj_lo, -sgn * coef * inv_dwi)
+                for col_lo, col_hi, dist in derivatives:
+                    coo.add(rows, col_hi, sgn * coef / dist)
+                    coo.add(rows, col_lo, -sgn * coef / dist)
     mat = coo.build((dofs.n_dofs, dofs.n_dofs))
     inv_vol = 1.0 / np.concatenate(
         [mesh.dual_volumes(i).ravel()[dofs.interior[i]] for i in range(mesh.dim)])
@@ -602,25 +573,16 @@ def convection_matrix(fluxes: MassFluxSet, scheme="centered",
     for i in range(mesh.dim):
         dof_i = dofs.dof[i].reshape(mesh.faces_shape(i))
         inv_vol = 1.0 / mesh.dual_volumes(i)
-        # parallel dual faces, one per cell
-        pp = fluxes.parallel_phi[i]
-        f_lo, f_hi = _neighbours(dof_i, i)
-        ivol_lo, ivol_hi = _neighbours(inv_vol, i)
-        w_lo, w_hi = _advection_weights(pp, scheme)
-        for rows, sgn, ivol in ((f_lo, 1.0, ivol_lo), (f_hi, -1.0, ivol_hi)):
-            coo.add(rows, f_lo, sgn * ivol * pp * w_lo)
-            coo.add(rows, f_hi, sgn * ivol * pp * w_hi)
         for j in range(mesh.dim):
-            if j == i:
-                continue
-            tp = fluxes.transverse_phi[(i, j)]
-            # the faces below/above each dual face are both rows and columns
-            ui_lo, ui_hi = _neighbours(dof_i, j, -1)
-            w_lo, w_hi = _advection_weights(tp, scheme)
-            ivol_lo, ivol_hi = _neighbours(inv_vol, j, 0.0)
+            dual_phi = fluxes.dual_phi[(i, j)]
+            # the faces below/above each dual face are both rows and columns;
+            # across axis j != i the ghost beyond the boundary has no id
+            ui_lo, ui_hi = _neighbours(dof_i, j, None if j == i else -1)
+            ivol_lo, ivol_hi = _neighbours(inv_vol, j, None if j == i else 0.0)
+            w_lo, w_hi = _advection_weights(dual_phi, scheme)
             for rows, sgn, ivol in ((ui_lo, 1.0, ivol_lo), (ui_hi, -1.0, ivol_hi)):
-                coo.add(rows, ui_lo, sgn * ivol * tp * w_lo)
-                coo.add(rows, ui_hi, sgn * ivol * tp * w_hi)
+                coo.add(rows, ui_lo, sgn * ivol * dual_phi * w_lo)
+                coo.add(rows, ui_hi, sgn * ivol * dual_phi * w_hi)
     return coo.build((dofs.n_dofs, dofs.n_dofs))
 
 

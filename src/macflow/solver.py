@@ -37,9 +37,9 @@ import scipy.sparse.linalg as spla
 
 from . import operators as ops
 from . import verification
-from .fields import (CellScalarField, VelocityField, norm_l2, project_cell,
-                     project_face)
-from .mesh import MacMesh
+from .fields import (CellScalarField, VelocityField, _neighbours, norm_l2,
+                     project_cell, project_face)
+from .mesh import MacMesh, _axis_view
 
 __all__ = [
     "SolverError",
@@ -316,38 +316,18 @@ def _stream_curl_matrix(mesh: MacMesh, dofs: ops.FaceDofMap):
     stream values are fixed to zero)."""
     n0, n1 = mesh.n
     nv = (n0 - 1) * (n1 - 1)
-
-    def vertex_id(vx, vy):
-        # -1 for boundary vertices (stream value 0)
-        vid = np.where((vx >= 1) & (vx <= n0 - 1) & (vy >= 1) & (vy <= n1 - 1),
-                       (vx - 1) * (n1 - 1) + (vy - 1), -1)
-        return vid
-
-    rows, cols, vals = [], [], []
-    # u_x[f, c] = (psi[f, c+1] - psi[f, c]) / h_y[c]
-    f, c = np.meshgrid(np.arange(1, n0), np.arange(n1), indexing="ij")
-    face = dofs.dof[0].reshape(mesh.faces_shape(0))[f, c]
-    inv_h = 1.0 / mesh.widths[1][c]
-    for vy, sgn in ((c + 1, 1.0), (c, -1.0)):
-        vid = vertex_id(f, vy)
-        keep = vid >= 0
-        rows.append(face[keep])
-        cols.append(vid[keep])
-        vals.append((sgn * inv_h)[keep])
-    # u_y[c, g] = -(psi[c+1, g] - psi[c, g]) / h_x[c]
-    c, g = np.meshgrid(np.arange(n0), np.arange(1, n1), indexing="ij")
-    face = dofs.dof[1].reshape(mesh.faces_shape(1))[c, g]
-    inv_h = 1.0 / mesh.widths[0][c]
-    for vx, sgn in ((c + 1, -1.0), (c, 1.0)):
-        vid = vertex_id(vx, g)
-        keep = vid >= 0
-        rows.append(face[keep])
-        cols.append(vid[keep])
-        vals.append((sgn * inv_h)[keep])
-    return sp.csr_matrix(
-        (np.concatenate(vals),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dofs.n_dofs, nv))
+    # vertex ids, -1 on the boundary (stream value 0)
+    vertex = np.pad(np.arange(nv).reshape(n0 - 1, n1 - 1), 1, constant_values=-1)
+    coo = ops._Coo()
+    # u_0 = +d_1 psi and u_1 = -d_0 psi: the difference of the two vertices
+    # of each face along the other axis
+    for i, axis, sign in ((0, 1, 1.0), (1, 0, -1.0)):
+        rows = dofs.dof[i].reshape(mesh.faces_shape(i))
+        lo, hi = _neighbours(vertex, axis)
+        coef = sign / _axis_view(mesh.widths[axis], axis, mesh.dim)
+        coo.add(rows, hi, coef)
+        coo.add(rows, lo, -coef)
+    return coo.build((dofs.n_dofs, nv))
 
 
 class StepSolver:

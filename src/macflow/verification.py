@@ -123,16 +123,15 @@ def _convection_duality_residual(mesh, rng, scheme="centered"):
     v = _random_velocity(mesh, rng)
     w = _random_velocity(mesh, rng)
     fluxes = ops.mass_fluxes(rho, adv)
+    cv = ops.convection_apply(fluxes, v, scheme)
     worst = 0.0
     for i in range(mesh.dim):
-        cv = ops.convection_apply(fluxes, v, scheme)
         lhs = float(np.dot(mesh.dual_volumes(i).ravel() * cv.components[i],
                            w.components[i]))
         rhs = 0.0
         vs, ws = v.shaped(i), w.shaped(i)
         for j in range(mesh.dim):
-            dual_phi = (fluxes.parallel_phi[i] if j == i
-                        else fluxes.transverse_phi[(i, j)])
+            dual_phi = fluxes.dual_phi[(i, j)]
             rho_u = fluxes.rho_tilde[(i, j)] * fluxes.u_hat[(i, j)]
             val = ops._advected_values(mesh, vs, i, j, dual_phi, scheme)
             grad_w = ops._grad(mesh, ws, i, j)

@@ -126,10 +126,10 @@ class TestRunCommand:
         assert "u," in text and "p," in text and "rho," in text
 
     def test_dump_operators(self, tmp_path):
-        cfg = small_run_config(tmp_path)
+        cfg = small_run_config(tmp_path, output={
+            "vtk": True, "staggered": True, "dump_operators": True})
         outdir = tmp_path / "dump"
-        code = main(["run", "--config", cfg, "--output-dir", str(outdir),
-                     "--dump-operators"])
+        code = main(["run", "--config", cfg, "--output-dir", str(outdir)])
         assert code == 0
         for name in ("divergence.coo", "pressure_gradient.coo", "diffusion.coo"):
             assert (outdir / name).exists()

@@ -132,6 +132,36 @@ class TestDualFaces:
                     vol = mesh33.cell_volumes.ravel()[f.cell]
                     assert f.measure / vol == pytest.approx(1.0 / f.distance)
 
+    def test_pair_geometry_matches_face_by_face(self):
+        """The (i, j) accessors give the distance and measure that
+        dual_faces_of computes face by face, on every non-exterior dual face
+        of a 3d mesh stretched differently along each axis."""
+        mesh = build_mesh([AxisPartition.geometric(0.0, 1.0, n, ratio)
+                           for n, ratio in ((4, 3.0), (5, 0.5), (3, 2.0))])
+        for i in range(mesh.dim):
+            blocks = {name: (shape, off)
+                      for name, shape, off in mesh.dual_face_blocks(i)}
+            for fid in range(mesh.n_faces(i)):
+                for face in dual_faces_of(mesh, i, fid):
+                    if face.exterior:
+                        continue
+                    j = face.direction
+                    if face.case == "parallel":
+                        idx = np.unravel_index(face.cell, mesh.cells_shape)
+                    else:
+                        shape, off = blocks[f"transverse{j}"]
+                        idx = np.unravel_index(face.id - off, shape)
+                    dist = np.broadcast_to(mesh.dual_face_distances(i, j),
+                                           mesh.pair_shape(i, j))
+                    assert dist[idx] == face.distance
+                    measure = mesh.dual_face_measures(i, j)
+                    assert measure.shape == mesh.pair_shape(i, j)
+                    assert measure[idx] == pytest.approx(face.measure, rel=1e-14)
+        for i in range(mesh.dim):
+            for j in range(mesh.dim):
+                assert not mesh.dual_face_measures(i, j).flags.writeable
+                assert not mesh.dual_face_distances(i, j).flags.writeable
+
     def test_unknown_face_id(self, mesh22):
         with pytest.raises(MeshError):
             dual_faces_of(mesh22, 0, 10_000)

@@ -228,7 +228,7 @@ class TestFluxes:
         fluxes.phi[0] = fluxes.phi[0].copy()
         fluxes.phi[0][0, 0], fluxes.phi[0][1, 0] = 3.0, 5.0
         fluxes = ops.dual_fluxes(fluxes)
-        assert fluxes.parallel_phi[0][0, 0] == pytest.approx(4.0)
+        assert fluxes.dual_phi[(0, 0)][0, 0] == pytest.approx(4.0)
 
     def test_dual_pair_example(self):
         # three cells in a row; interior faces carry (rho, u) = (1, 2), (3, 0)
@@ -255,14 +255,14 @@ class TestFluxes:
             cross = mesh.cell_volumes / np.expand_dims(mesh.widths[i],
                                                        axis=1 - i)
             recon = cross * fluxes.rho_tilde[(i, i)] * fluxes.u_hat[(i, i)]
-            assert np.allclose(recon, fluxes.parallel_phi[i], atol=1e-13)
+            assert np.allclose(recon, fluxes.dual_phi[(i, i)], atol=1e-13)
             for j in range(2):
                 if j == i:
                     continue
                 sigma = mesh.pair_volumes(i, j) / np.expand_dims(
                     mesh.dual_widths[j], axis=1 - j)
                 recon = sigma * fluxes.rho_tilde[(i, j)] * fluxes.u_hat[(i, j)]
-                assert np.allclose(recon, fluxes.transverse_phi[(i, j)],
+                assert np.allclose(recon, fluxes.dual_phi[(i, j)],
                                    atol=1e-13)
 
     def test_dual_mass_balance(self, mesh33, rng):

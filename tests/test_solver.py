@@ -10,8 +10,9 @@ from macflow.problems import make_problem
 from macflow.solver import (TRANSPORT_RTOL, LinearSolveError,
                             PicardDivergenceError, SolverConfig, SolverError,
                             StepSolver, StepStats, TimeState,
-                            TransportSolveError, advance_timestep,
-                            initial_state, run_simulation, transport_solve)
+                            TransportSolveError, _stream_curl_matrix,
+                            advance_timestep, initial_state, run_simulation,
+                            transport_solve)
 from macflow.verification import dual_mass_balance_residual
 
 
@@ -289,6 +290,20 @@ class TestMomentumSolve:
                                atol=1e-9)
         assert np.allclose(results["saddle"][1].values,
                            results["nullspace"][1].values, atol=1e-9)
+
+
+class TestStreamCurl:
+    def test_curl_spans_divergence_free_space(self, mesh_stretched):
+        """D curl = 0 and curl has full column rank, so its range is the
+        discretely divergence-free subspace the 2d route solves in."""
+        mesh = mesh_stretched
+        dofs = ops.FaceDofMap(mesh)
+        curl = _stream_curl_matrix(mesh, dofs)
+        div_c = ops.divergence_constraint_matrix(mesh, dofs)
+        n0, n1 = mesh.n
+        assert curl.shape == (dofs.n_dofs, (n0 - 1) * (n1 - 1))
+        assert spla.norm(div_c @ curl) <= 1e-12 * spla.norm(curl)
+        assert np.linalg.matrix_rank(curl.toarray()) == (n0 - 1) * (n1 - 1)
 
 
 class TestAdvanceTimestep:
