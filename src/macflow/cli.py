@@ -119,31 +119,13 @@ def _cmd_run(args):
 
 def _cmd_convergence(args):
     setup = load_config(args.config)
-    if setup.convergence is None:
-        raise ConfigError("convergence", "config has no convergence section")
-    conv = setup.convergence
-    levels = conv["levels"]
-    if args.levels is not None:
-        if args.levels < 3:
-            raise ConfigError("convergence.levels",
-                              "a study needs at least 3 levels")
-        levels = levels[:args.levels]
+    levels = None
+    if args.levels is not None and setup.convergence is not None:
+        levels = setup.convergence["levels"][:max(args.levels, 0)]
     os.makedirs(args.output_dir, exist_ok=True)
-    problem_cfg = setup.raw.get("problem", {})
     try:
-        table = convergence_study(
-            problem_cfg.get("name"),
-            levels,
-            dt_coarsest=conv["dt_coarsest"],
-            t_end=conv["t_end"],
-            problem_params=problem_cfg.get("params"),
-            solver_kwargs={k: v for k, v in setup.raw.get("solver", {}).items()
-                           if k in ("picard_tol", "picard_max", "linear_tol",
-                                    "advection_scheme", "quadrature_order")},
-            reference_n=conv["reference_n"],
-            forcing_time=setup.problem.forcing_time,
-            progress=lambda msg: print(msg, flush=True),
-        )
+        table = convergence_study(setup, levels,
+                                  progress=lambda msg: print(msg, flush=True))
     except SolverError as exc:
         print(f"solver failure during study: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -161,6 +143,8 @@ def _cmd_convergence(args):
 
 
 def _cmd_verify(args):
+    if args.trials < 1:
+        raise ConfigError("--trials", "need at least 1 random trial")
     setup = load_config(args.config)
     mesh = setup.mesh
     os.makedirs(args.output_dir, exist_ok=True)

@@ -6,12 +6,16 @@ Schema (all sections except ``mesh``/``problem``/``solver`` optional):
   ``{"n": int, "lo": float, "hi": float, "stretch": float}`` (geometric
   width growth, total last/first ratio).
 - ``problem``: ``{"name": str, "params": {...}}``.
-- ``solver``: ``dt``, ``t_end``, and optionally ``picard_tol``,
-  ``picard_max``, ``linear_tol``, ``advection_scheme``, ``quadrature_order``,
-  ``output_every``, ``forcing_time``; any other key is an error.
+- ``solver``: the fields of :class:`~macflow.solver.SolverConfig`; ``dt`` and
+  ``t_end`` are required, any other key is an error.
 - ``output``: ``vtk``, ``staggered``, ``diagnostics``, ``snapshot_prefix``,
   ``dump_operators``.
-- ``convergence``: ``levels``, ``dt_coarsest``, ``t_end``, ``reference_n``.
+- ``convergence``: ``levels``, ``dt_coarsest``, ``t_end``, ``reference_n``;
+  :func:`~macflow.convergence.convergence_study` runs each level as this
+  config with its cell counts and time step changed.
+
+A JSON boolean is accepted only where a boolean is expected, never as a
+number.
 """
 
 import dataclasses
@@ -30,16 +34,21 @@ class ConfigError(ValueError):
         self.path = path
 
 
+def _check_type(value, path, types):
+    types = types if isinstance(types, tuple) else (types,)
+    if not isinstance(value, types) or (isinstance(value, bool)
+                                        and bool not in types):
+        names = " or ".join(t.__name__ for t in types)
+        raise ConfigError(path, f"expected {names}, got {type(value).__name__}")
+    return value
+
+
 def _expect(mapping, key, path, types, default=None, required=False):
     if key not in mapping:
         if required:
             raise ConfigError(f"{path}.{key}", "missing required key")
         return default
-    value = mapping[key]
-    if types is not None and not isinstance(value, types):
-        raise ConfigError(f"{path}.{key}",
-                          f"expected {types}, got {type(value).__name__}")
-    return value
+    return _check_type(mapping[key], f"{path}.{key}", types)
 
 
 def _parse_axis(spec, path):
@@ -76,21 +85,20 @@ def parse_mesh(cfg, path="mesh"):
 
 
 def parse_solver(cfg, path="solver"):
-    known = {f.name for f in dataclasses.fields(SolverConfig)} | {"forcing_time"}
+    """:class:`SolverConfig` from its JSON section; the dataclass fields name
+    the keys, their types and which are required (those without a default)."""
+    fields = {f.name: f for f in dataclasses.fields(SolverConfig)}
     for key in cfg:
-        if key not in known:
+        if key not in fields:
             raise ConfigError(f"{path}.{key}", "unknown key")
-    dt = _expect(cfg, "dt", path, (int, float), required=True)
-    t_end = _expect(cfg, "t_end", path, (int, float), required=True)
     kwargs = {}
-    for key, types in (("picard_tol", (int, float)), ("picard_max", int),
-                       ("linear_tol", (int, float)),
-                       ("advection_scheme", str), ("quadrature_order", int),
-                       ("output_every", int)):
-        if key in cfg:
-            kwargs[key] = cfg[key]
+    for name, field in fields.items():
+        if name in cfg or field.default is dataclasses.MISSING:
+            types = (int, float) if field.type is float else field.type
+            kwargs[name] = field.type(_expect(cfg, name, path, types,
+                                              required=True))
     try:
-        return SolverConfig(dt=float(dt), t_end=float(t_end), **kwargs)
+        return SolverConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 
@@ -130,15 +138,9 @@ def load_config(path_or_dict):
                           f"{', '.join(PROBLEM_NAMES)}")
     params = _expect(problem_cfg, "params", "problem", dict, default={})
 
-    solver_cfg = _expect(raw, "solver", "<root>", dict, required=True)
-    solver = parse_solver(solver_cfg)
-    forcing_time = _expect(solver_cfg, "forcing_time", "solver", str,
-                           default="endpoint")
-    if forcing_time not in ("endpoint", "slab_average"):
-        raise ConfigError("solver.forcing_time",
-                          "must be 'endpoint' or 'slab_average'")
+    solver = parse_solver(_expect(raw, "solver", "<root>", dict, required=True))
     try:
-        problem = make_problem(name, mesh, params, forcing_time)
+        problem = make_problem(name, mesh, params)
     except ValueError as exc:
         raise ConfigError("problem", str(exc)) from None
 
@@ -163,9 +165,7 @@ def load_config(path_or_dict):
             raise ConfigError("convergence.levels",
                               "a study needs at least 3 levels")
         for k, n in enumerate(levels):
-            if not isinstance(n, int):
-                raise ConfigError(f"convergence.levels[{k}]",
-                                  f"expected int, got {type(n).__name__}")
+            _check_type(n, f"convergence.levels[{k}]", int)
         convergence = {
             "levels": levels,
             "dt_coarsest": float(_expect(conv_cfg, "dt_coarsest", "convergence",

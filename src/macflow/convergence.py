@@ -1,4 +1,5 @@
-"""Refinement harness: runs a problem family across mesh levels with the
+"""Refinement harness: runs a configured problem across mesh levels (cells
+per axis of the configured mesh, in 2d or 3d, uniform or stretched) with the
 time step scaled proportionally to the mesh size, measures L2 errors against
 an analytic solution or a fine-grid reference, and fits observed orders.
 
@@ -7,14 +8,15 @@ between solutions on two different meshes is integrated exactly by
 intersecting the two box partitions axis by axis.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import AxisPartition, build_mesh, mesh_metrics
-from .problems import make_problem
-from .solver import SolverConfig, run_simulation
+from .config import ConfigError, load_config
+from .mesh import mesh_metrics
+from .solver import run_simulation
 
 __all__ = [
     "ConvergenceLevel",
@@ -106,7 +108,7 @@ class ConvergenceTable:
 
     def format(self):
         lines = [f"convergence study: {self.problem}"
-                 + (f" (reference {self.reference_n}^2)" if self.reference_n else "")]
+                 + (f" (reference n={self.reference_n})" if self.reference_n else "")]
         lines.append(f"{'n':>6} {'h':>12} {'dt':>12} {'err_u':>13} "
                      f"{'err_p':>13} {'err_rho':>13}")
         for lv in self.levels:
@@ -135,55 +137,63 @@ def fit_order(hs, errors):
     return float(slope)
 
 
-def convergence_study(problem_name, levels, dt_coarsest, t_end,
-                      problem_params=None, solver_kwargs=None,
-                      reference_n=None, forcing_time="endpoint",
-                      progress=None) -> ConvergenceTable:
-    """Run ``levels`` (cells per axis, unit square) with dt proportional to
-    h; errors against the analytic solution when the problem has one, else
-    against the final state of a ``reference_n`` run."""
+def convergence_study(setup, levels=None, progress=None) -> ConvergenceTable:
+    """Refinement study of a :class:`~macflow.config.RunSetup`: level n is
+    ``load_config`` of ``setup.raw`` with n cells on every axis (bounds,
+    stretch and dimension kept) and dt proportional to h.  ``levels``
+    defaults to ``convergence.levels``.  Errors are against the analytic
+    solution when the problem has one, else against a ``reference_n`` run."""
+    conv = setup.convergence
+    if conv is None:
+        raise ConfigError("convergence", "config has no convergence section")
+    levels = list(conv["levels"] if levels is None else levels)
     if len(levels) < 3:
-        raise ValueError("a convergence study needs at least 3 levels")
-    levels = [int(n) for n in levels]
-    solver_kwargs = dict(solver_kwargs or {})
+        raise ConfigError("convergence.levels",
+                          "a study needs at least 3 levels")
+    for k, axis in enumerate(setup.raw["mesh"]["axes"]):
+        if "breakpoints" in axis:
+            raise ConfigError(f"mesh.axes[{k}]",
+                              "an axis given by breakpoints cannot be refined")
+    name = setup.problem.name
+    if setup.problem.exact is None and conv["reference_n"] is None:
+        raise ConfigError("convergence.reference_n",
+                          f"problem {name!r} has no analytic solution; "
+                          "a reference level is required")
+    t_end = conv["t_end"]
     flags = []
-    reference = None
 
     def run_one(n):
-        mesh = build_mesh([AxisPartition.uniform(0.0, 1.0, n)] * 2)
-        problem = make_problem(problem_name, mesh, problem_params, forcing_time)
-        n_steps = max(1, round(t_end / (dt_coarsest * levels[0] / n)))
-        cfg = SolverConfig(dt=t_end / n_steps, t_end=t_end, **solver_kwargs)
+        raw = copy.deepcopy(setup.raw)
+        for axis in raw["mesh"]["axes"]:
+            axis["n"] = n
+        n_steps = max(1, round(t_end / (conv["dt_coarsest"] * levels[0] / n)))
+        raw["solver"].update(dt=t_end / n_steps, t_end=t_end)
+        level = load_config(raw)
         if progress:
-            progress(f"level {n}x{n}: dt={cfg.dt:g}, {n_steps} steps")
-        result = run_simulation(problem, cfg)
-        return mesh, problem, cfg, result
+            shape = "x".join([str(n)] * level.mesh.dim)
+            progress(f"level {shape}: dt={level.solver.dt:g}, {n_steps} steps")
+        return level, run_simulation(level.problem, level.solver)
 
-    if reference_n is not None:
-        ref_mesh, _, _, ref_result = run_one(reference_n)
-        reference = (ref_mesh, ref_result.final_state)
+    if conv["reference_n"] is not None:
+        ref, ref_result = run_one(conv["reference_n"])
+        ref_state = ref_result.final_state
 
     rows = []
     for n in levels:
-        mesh, problem, cfg, result = run_one(n)
-        state = result.final_state
-        if problem.exact is not None:
-            errors = problem.errors_vs_exact(state)
-        elif reference is not None:
-            ref_mesh, ref_state = reference
-            errors = {
-                "u": velocity_difference(mesh, state.u, ref_mesh, ref_state.u),
-                "p": cell_field_difference(mesh, state.p.values,
-                                           ref_mesh, ref_state.p.values),
-                "rho": cell_field_difference(mesh, state.rho.values,
-                                             ref_mesh, ref_state.rho.values),
-            }
+        level, result = run_one(n)
+        mesh, state = level.mesh, result.final_state
+        if level.problem.exact is not None:
+            errors = level.problem.errors_vs_exact(state)
         else:
-            raise ValueError(
-                f"problem {problem_name!r} has no analytic solution; "
-                "a reference level is required")
+            errors = {
+                "u": velocity_difference(mesh, state.u, ref.mesh, ref_state.u),
+                "p": cell_field_difference(mesh, state.p.values,
+                                           ref.mesh, ref_state.p.values),
+                "rho": cell_field_difference(mesh, state.rho.values,
+                                             ref.mesh, ref_state.rho.values),
+            }
         rows.append(ConvergenceLevel(
-            n=n, h=mesh_metrics(mesh).h, dt=cfg.dt, errors=errors,
+            n=n, h=mesh_metrics(mesh).h, dt=level.solver.dt, errors=errors,
             bv_sum=result.bv_accumulated,
             h1_time_integral=result.h1_time_integral,
             max_u_l2=result.max_u_l2))
@@ -199,5 +209,5 @@ def convergence_study(problem_name, levels, dt_coarsest, t_end,
                 flags.append(f"order[{key}] undefined: repeated mesh size")
             else:
                 flags.append(f"order[{key}] undefined: errors at roundoff floor")
-    return ConvergenceTable(problem=problem_name, levels=rows, orders=orders,
-                            flags=flags, reference_n=reference_n)
+    return ConvergenceTable(problem=name, levels=rows, orders=orders,
+                            flags=flags, reference_n=conv["reference_n"])

@@ -70,17 +70,16 @@ class Problem:
     mu_law: object
     forcing: tuple | None = None
     time_independent_forcing: bool = False
-    forcing_time: str = "endpoint"     # endpoint | slab_average
     exact: ExactSolution | None = None
 
     def forcing_faces(self, mesh, t, cfg):
         """Dual-cell mean projection of the forcing at the new time level, or
-        its Gauss average over the time slab."""
+        its Gauss average over the time slab, as ``cfg.forcing_time`` says."""
         if self.forcing is None:
             return None
-        if self.forcing_time == "endpoint":
+        if cfg.forcing_time == "endpoint":
             fns = [(lambda *X, _f=f: _f(t, *X)) for f in self.forcing]
-        elif self.forcing_time == "slab_average":
+        else:
             nodes, weights = np.polynomial.legendre.leggauss(3)
             times = t - cfg.dt + 0.5 * (nodes + 1.0) * cfg.dt
             tw = 0.5 * weights
@@ -94,8 +93,6 @@ class Problem:
                 return averaged
 
             fns = [make(f) for f in self.forcing]
-        else:
-            raise ValueError(f"unknown forcing_time {self.forcing_time!r}")
         proj = project_face(mesh, fns, variant="dual", order=cfg.quadrature_order)
         return [proj.shaped(i).copy() for i in range(mesh.dim)]
 
@@ -347,13 +344,11 @@ _FACTORIES = {
 PROBLEM_NAMES = tuple(sorted(_FACTORIES))
 
 
-def make_problem(name, mesh, params=None, forcing_time="endpoint") -> Problem:
+def make_problem(name, mesh, params=None) -> Problem:
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise ValueError(
             f"unknown problem {name!r}; available: {', '.join(PROBLEM_NAMES)}"
         ) from None
-    problem = factory(mesh, params or {})
-    problem.forcing_time = forcing_time
-    return problem
+    return factory(mesh, params or {})

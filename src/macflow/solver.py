@@ -108,12 +108,16 @@ class SolverConfig:
     advection_scheme: str = "centered"
     quadrature_order: int = 5
     output_every: int = 1
+    forcing_time: str = "endpoint"     # endpoint | slab_average
 
     def __post_init__(self):
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if self.t_end < 0.0:
             raise ValueError("t_end must be nonnegative")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * max(self.t_end, self.dt):
+            raise ValueError(f"t_end {self.t_end} is not a whole number of "
+                             f"steps of dt {self.dt}")
         for name in ("picard_tol", "linear_tol"):
             val = getattr(self, name)
             if not 0.0 < val < 1.0:
@@ -126,6 +130,12 @@ class SolverConfig:
             raise ValueError("quadrature order must be at least 1")
         if self.output_every < 1:
             raise ValueError("output cadence must be at least 1")
+        if self.forcing_time not in ("endpoint", "slab_average"):
+            raise ValueError("forcing_time must be 'endpoint' or 'slab_average'")
+
+    @property
+    def n_steps(self):
+        return int(round(self.t_end / self.dt))
 
 
 class TimeState:
@@ -645,10 +655,7 @@ def run_simulation(problem, cfg: SolverConfig, diagnostics_sink=None,
     except SolverError as exc:
         exc.step = 0
         raise
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(cfg.t_end, cfg.dt):
-        raise SolverError(
-            f"t_end {cfg.t_end} is not a whole number of steps of dt {cfg.dt}")
+    n_steps = cfg.n_steps
     forcing_cache = None
     records = []
     bv_accum = 0.0

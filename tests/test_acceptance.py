@@ -58,11 +58,8 @@ def mms_tables():
     """Criterion 5/6 refinement data: the MMS-A analytic study and the MMS-B
     study against the 256^2 reference."""
     t0 = time.time()
-    table_a = convergence_study("mms_a", [8, 16, 32, 64],
-                                dt_coarsest=0.05, t_end=0.2)
-    table_b = convergence_study("mms_b", [16, 24, 32],
-                                dt_coarsest=0.025, t_end=0.05,
-                                reference_n=256)
+    table_a = convergence_study(load_config(os.path.join(CONFIGS, "mms-a.json")))
+    table_b = convergence_study(load_config(os.path.join(CONFIGS, "mms-b.json")))
     return {"a": table_a, "b": table_b, "elapsed": time.time() - t0}
 
 

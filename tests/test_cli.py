@@ -2,12 +2,15 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from conftest import KrylovStall, SpluFault
 from macflow.cli import main
 from macflow.config import ConfigError, load_config
+from macflow.mesh import AxisPartition, build_mesh, mesh_metrics
+from macflow.problems import make_problem
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -66,6 +69,26 @@ class TestConfigParsing:
         for name in os.listdir(CONFIGS):
             load_config(os.path.join(CONFIGS, name))
 
+    def test_forcing_time_is_a_solver_setting(self, tmp_path):
+        """``solver.forcing_time`` reaches ``forcing_faces`` through the
+        solver config: for forcing linear in t the slab average is the
+        midpoint value."""
+        setup = load_config(small_run_config(
+            tmp_path, solver={"dt": 0.2, "t_end": 0.2,
+                              "forcing_time": "slab_average"}))
+        problem = make_problem("quiescent", setup.mesh)
+        problem.forcing = (lambda t, x, y: t * np.ones_like(x),
+                           lambda t, x, y: 0.0 * x)
+        f = problem.forcing_faces(setup.mesh, 0.2, setup.solver)
+        assert np.allclose(f[0][setup.mesh.interior_mask(0)], 0.1, atol=1e-14)
+
+    def test_bad_forcing_time(self, tmp_path):
+        path = small_run_config(tmp_path, solver={
+            "dt": 0.1, "t_end": 0.1, "forcing_time": "midpoint"})
+        with pytest.raises(ConfigError, match="forcing_time") as info:
+            load_config(path)
+        assert info.value.path == "solver"
+
 
 class TestRunCommand:
     def test_quiescent_run_writes_outputs(self, tmp_path):
@@ -98,7 +121,16 @@ class TestRunCommand:
          "convergence.reference_n"),
         ({"problem": {"name": "mms_b",
                       "params": {"mu_law": {"type": "constant"}}}}, "problem"),
-    ], ids=["levels", "reference_n", "mu_law"])
+        ({"mesh": {"axes": [{"n": True}, {"n": 4}]}}, "mesh.axes[0].n"),
+        ({"solver": {"dt": True, "t_end": 1.0}}, "solver.dt"),
+        ({"convergence": {"levels": [4, 6, 8], "dt_coarsest": 0.1,
+                          "t_end": 0.1, "reference_n": True}},
+         "convergence.reference_n"),
+        ({"convergence": {"levels": [True, 8, 16], "dt_coarsest": 0.1,
+                          "t_end": 0.1}}, "convergence.levels[0]"),
+        ({"solver": {"dt": 0.3, "t_end": 1.0}}, "solver"),
+    ], ids=["levels", "reference_n", "mu_law", "bool_axis_n", "bool_dt",
+            "bool_reference_n", "bool_level", "partial_step"])
     def test_malformed_value_exit_code(self, tmp_path, capsys, overrides,
                                        key_path):
         cfg = small_run_config(tmp_path, **overrides)
@@ -231,6 +263,23 @@ class TestVerifyCommand:
         assert code == 4
 
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_rejected(self, tmp_path, capsys, trials):
+        code = main(["verify", "--config",
+                     os.path.join(CONFIGS, "verify.json"),
+                     "--output-dir", str(tmp_path), "--trials", trials])
+        assert code == 2
+        assert "--trials" in capsys.readouterr().err
+
+
+def _study_rows(tmp_path, data):
+    path = _write(tmp_path, data)
+    assert main(["convergence", "--config", path,
+                 "--output-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "convergence.csv") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestConvergenceCommand:
     def test_insufficient_levels_rejected(self, tmp_path):
         path = _write(tmp_path, {
@@ -254,6 +303,43 @@ class TestConvergenceCommand:
         table = (tmp_path / "convergence.csv").read_text().splitlines()
         assert table[0].startswith("n,h,dt")
         assert len(table) == 4
+
+    def test_stretched_levels_keep_the_stretch(self, tmp_path):
+        axis = {"n": 4, "lo": 0.0, "hi": 1.0, "stretch": 3.0}
+        rows = _study_rows(tmp_path, {
+            "mesh": {"axes": [axis, axis]},
+            "problem": {"name": "mms_b"},
+            "solver": {"dt": 0.05, "t_end": 0.05},
+            "convergence": {"levels": [4, 6, 8], "dt_coarsest": 0.05,
+                            "t_end": 0.05, "reference_n": 12}})
+        assert [int(r["n"]) for r in rows] == [4, 6, 8]
+        for r in rows:
+            n = int(r["n"])
+            mesh = build_mesh([AxisPartition.geometric(0.0, 1.0, n, 3.0)] * 2)
+            assert float(r["h"]) == mesh_metrics(mesh).h
+
+    def test_3d_levels_stay_3d(self, tmp_path):
+        rows = _study_rows(tmp_path, {
+            "mesh": {"axes": [{"n": 2}, {"n": 2}, {"n": 2}]},
+            "problem": {"name": "quiescent"},
+            "solver": {"dt": 0.1, "t_end": 0.1},
+            "convergence": {"levels": [2, 3, 4], "dt_coarsest": 0.1,
+                            "t_end": 0.1}})
+        assert [int(r["n"]) for r in rows] == [2, 3, 4]
+        for r in rows:
+            assert float(r["h"]) == pytest.approx(3 ** 0.5 / int(r["n"]),
+                                                  rel=1e-14)
+
+    def test_breakpoint_axis_rejected(self, tmp_path, capsys):
+        path = _write(tmp_path, {
+            "mesh": {"axes": [{"n": 4}, {"breakpoints": [0.0, 0.3, 1.0]}]},
+            "problem": {"name": "mms_a"},
+            "solver": {"dt": 0.1, "t_end": 0.2},
+            "convergence": {"levels": [4, 8, 16], "dt_coarsest": 0.1,
+                            "t_end": 0.2}})
+        assert main(["convergence", "--config", path,
+                     "--output-dir", str(tmp_path)]) == 2
+        assert "configuration error: mesh.axes[1]:" in capsys.readouterr().err
 
 
 class TestVtkOutput:

@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
+from macflow.config import load_config
 from macflow.convergence import (cell_field_difference, convergence_study,
                                  fit_order, velocity_difference)
 from macflow.mesh import AxisPartition, build_mesh
+
+
+def study_setup(name, levels):
+    """A 2d unit-square study of ``name`` with dt_coarsest 0.1 and t_end 0.2."""
+    return load_config({
+        "mesh": {"axes": [{"n": 4}, {"n": 4}]},
+        "problem": {"name": name},
+        "solver": {"dt": 0.1, "t_end": 0.2},
+        "convergence": {"levels": levels, "dt_coarsest": 0.1, "t_end": 0.2}})
 
 
 class TestOverlapComparator:
@@ -71,15 +81,15 @@ class TestOrderFit:
 class TestStudyDriver:
     def test_requires_three_levels(self):
         with pytest.raises(ValueError, match="3 levels"):
-            convergence_study("mms_a", [8, 16], dt_coarsest=0.1, t_end=0.2)
+            convergence_study(study_setup("mms_a", [8, 16, 32]), levels=[8, 16])
 
     def test_reference_required_without_exact(self):
         with pytest.raises(ValueError, match="reference"):
-            convergence_study("mms_b", [4, 8, 16], dt_coarsest=0.1, t_end=0.2)
+            convergence_study(study_setup("mms_b", [4, 8, 16]))
 
     def test_repeated_level_flagged(self):
-        table = convergence_study("mms_a", [4, 4, 8], dt_coarsest=0.1,
-                                  t_end=0.2)
+        table = convergence_study(study_setup("mms_a", [4, 8, 16]),
+                                  levels=[4, 4, 8])
         assert table.orders["u"] is None
         assert any("repeated mesh size" in f for f in table.flags)
         assert "undefined" in table.format()

@@ -191,12 +191,11 @@ class TestForcingProjection:
         problem = make_problem("quiescent", unit_square)
         problem.forcing = (lambda t, x, y: t * np.ones_like(x),
                            lambda t, x, y: 0.0 * x)
-        problem.forcing_time = "slab_average"
         from macflow.solver import SolverConfig
-        cfg = SolverConfig(dt=0.2, t_end=0.2)
+        cfg = SolverConfig(dt=0.2, t_end=0.2, forcing_time="slab_average")
         f = problem.forcing_faces(unit_square, 0.2, cfg)
         interior = unit_square.interior_mask(0)
         assert np.allclose(f[0][interior], 0.1, atol=1e-14)
-        problem.forcing_time = "endpoint"
+        cfg = SolverConfig(dt=0.2, t_end=0.2, forcing_time="endpoint")
         f = problem.forcing_faces(unit_square, 0.2, cfg)
         assert np.allclose(f[0][interior], 0.2, atol=1e-14)

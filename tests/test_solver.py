@@ -353,7 +353,7 @@ class TestRunSimulation:
 
     def test_rejects_non_integer_step_count(self, mesh22):
         problem = make_problem("quiescent", mesh22)
-        with pytest.raises(SolverError):
+        with pytest.raises(ValueError, match="whole number of steps"):
             run_simulation(problem, SolverConfig(dt=0.3, t_end=1.0))
 
     def test_upwind_advection_end_to_end(self):
