@@ -142,7 +142,8 @@ def convergence_study(setup, levels=None, progress=None) -> ConvergenceTable:
     ``load_config`` of ``setup.raw`` with n cells on every axis (bounds,
     stretch and dimension kept) and dt proportional to h.  ``levels``
     defaults to ``convergence.levels``.  Errors are against the analytic
-    solution when the problem has one, else against a ``reference_n`` run."""
+    solution when the problem has one, else against a ``reference_n`` run;
+    ``reference_n`` is ignored, and that level not run, in the first case."""
     conv = setup.convergence
     if conv is None:
         raise ConfigError("convergence", "config has no convergence section")
@@ -155,7 +156,9 @@ def convergence_study(setup, levels=None, progress=None) -> ConvergenceTable:
             raise ConfigError(f"mesh.axes[{k}]",
                               "an axis given by breakpoints cannot be refined")
     name = setup.problem.name
-    if setup.problem.exact is None and conv["reference_n"] is None:
+    # with an analytic solution the reference level would go unused
+    reference_n = conv["reference_n"] if setup.problem.exact is None else None
+    if setup.problem.exact is None and reference_n is None:
         raise ConfigError("convergence.reference_n",
                           f"problem {name!r} has no analytic solution; "
                           "a reference level is required")
@@ -174,15 +177,15 @@ def convergence_study(setup, levels=None, progress=None) -> ConvergenceTable:
             progress(f"level {shape}: dt={level.solver.dt:g}, {n_steps} steps")
         return level, run_simulation(level.problem, level.solver)
 
-    if conv["reference_n"] is not None:
-        ref, ref_result = run_one(conv["reference_n"])
+    if reference_n is not None:
+        ref, ref_result = run_one(reference_n)
         ref_state = ref_result.final_state
 
     rows = []
     for n in levels:
         level, result = run_one(n)
         mesh, state = level.mesh, result.final_state
-        if level.problem.exact is not None:
+        if reference_n is None:
             errors = level.problem.errors_vs_exact(state)
         else:
             errors = {
@@ -210,4 +213,4 @@ def convergence_study(setup, levels=None, progress=None) -> ConvergenceTable:
             else:
                 flags.append(f"order[{key}] undefined: errors at roundoff floor")
     return ConvergenceTable(problem=name, levels=rows, orders=orders,
-                            flags=flags, reference_n=conv["reference_n"])
+                            flags=flags, reference_n=reference_n)

@@ -475,22 +475,84 @@ def _cell_ids(mesh):
     return np.arange(mesh.n_cells).reshape(mesh.cells_shape)
 
 
-class _Coo:
+class _Pattern:
+    """CSR sparsity of an assembly and the slot of each of its triples in
+    the CSR ``data``, computed by the first build and reused by every later
+    build that adds the same (rows, cols) in the same order: a mesh-constant
+    stencil with new values.  Triples with a ghost index (-1) share one
+    extra slot, which is dropped.  Index arrays are int32, and every matrix
+    built through the pattern shares them: none may change them in place."""
+
     def __init__(self):
-        self.rows, self.cols, self.vals = [], [], []
+        self.slot = None
+
+    def fill(self, key_blocks, shape):
+        """``key_blocks`` hold ``row * n_cols + col`` per triple, ``n_rows *
+        n_cols`` for a ghost, which sorts last."""
+        keys = np.concatenate(key_blocks)
+        keys.sort()
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        uniq = keys[first]
+        del keys, first
+        # block by block, so that no int64 copy of every slot is made
+        self.slot = np.concatenate([np.searchsorted(uniq, k).astype(np.int32)
+                                    for k in key_blocks])
+        uniq = uniq[uniq < shape[0] * shape[1]]
+        self.indices = (uniq % shape[1]).astype(np.int32)
+        self.indptr = np.searchsorted(
+            uniq, np.arange(shape[0] + 1) * shape[1]).astype(np.int32)
+        self.shape = shape
+
+
+class _Coo:
+    """Triples of one ``shape`` assembly, summed into a CSR matrix through
+    ``pattern``.  A new pattern is filled by ``build``, from the triples
+    kept until then; with a filled one each ``add`` sums its values into
+    the CSR ``data`` at once and nothing else is kept."""
+
+    def __init__(self, shape, pattern: _Pattern | None = None):
+        self.shape = shape
+        self.pattern = _Pattern() if pattern is None else pattern
+        self.count = 0
+        if self.pattern.slot is None:
+            self.keys, self.vals = [], []
+        else:
+            self._check(self.pattern.shape == shape)
+            self.data = np.zeros(self.pattern.indices.size + 1)
+
+    @staticmethod
+    def _check(matches):
+        if not matches:
+            raise OperatorError("assembly does not match its stored pattern")
 
     def add(self, rows, cols, vals):
         rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
-        mask = (rows >= 0) & (cols >= 0)
-        self.rows.append(rows[mask].ravel())
-        self.cols.append(cols[mask].ravel())
-        self.vals.append(np.asarray(vals, dtype=float)[mask].ravel())
+        if self.pattern.slot is None:
+            n_rows, n_cols = self.shape
+            self.keys.append(np.where((rows >= 0) & (cols >= 0),
+                                      rows * n_cols + cols,
+                                      n_rows * n_cols).ravel())
+            self.vals.append(vals)
+        else:
+            self._sum(vals)
 
-    def build(self, shape):
-        return sp.csr_matrix(
-            (np.concatenate(self.vals),
-             (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=shape)
+    def _sum(self, vals):
+        start, self.count = self.count, self.count + vals.size
+        self._check(self.count <= self.pattern.slot.size)
+        np.add.at(self.data, self.pattern.slot[start:self.count],
+                  vals.ravel())
+
+    def build(self):
+        if self.pattern.slot is None:
+            self.pattern.fill(self.keys, self.shape)
+            blocks, self.keys, self.vals = self.vals, None, None
+            self.data = np.zeros(self.pattern.indices.size + 1)
+            for vals in blocks:
+                self._sum(vals)
+        self._check(self.count == self.pattern.slot.size)
+        return sp.csr_matrix((self.data[:-1], self.pattern.indices,
+                              self.pattern.indptr), shape=self.shape)
 
 
 # -- assembled matrices ------------------------------------------------------------
@@ -498,14 +560,14 @@ class _Coo:
 def divergence_matrix(mesh: MacMesh, dofs: FaceDofMap | None = None):
     """Sparse matrix mapping the interior-face vector to (div u)_K."""
     dofs = dofs or FaceDofMap(mesh)
-    coo = _Coo()
+    coo = _Coo((mesh.n_cells, dofs.n_dofs))
     cells = _cell_ids(mesh)
     for i in range(mesh.dim):
         f_lo, f_hi = _neighbours(dofs.dof[i].reshape(mesh.faces_shape(i)), i)
         inv_w = 1.0 / _axis_view(mesh.widths[i], i, mesh.dim)
         coo.add(cells, f_lo, -inv_w * np.ones(mesh.cells_shape))
         coo.add(cells, f_hi, +inv_w * np.ones(mesh.cells_shape))
-    return coo.build((mesh.n_cells, dofs.n_dofs))
+    return coo.build()
 
 
 def divergence_constraint_matrix(mesh: MacMesh, dofs: FaceDofMap | None = None):
@@ -520,7 +582,7 @@ def pressure_gradient_matrix(mesh: MacMesh, dofs: FaceDofMap | None = None):
     """Sparse matrix mapping cell values to the face gradient on interior
     faces."""
     dofs = dofs or FaceDofMap(mesh)
-    coo = _Coo()
+    coo = _Coo((dofs.n_dofs, mesh.n_cells))
     cells = _cell_ids(mesh)
     for i in range(mesh.dim):
         rows = dofs.dof[i].reshape(mesh.faces_shape(i))[_slab(mesh.dim, i, 1, -1)]
@@ -529,16 +591,23 @@ def pressure_gradient_matrix(mesh: MacMesh, dofs: FaceDofMap | None = None):
         ones = np.ones_like(rows, dtype=float)
         coo.add(rows, behind, -inv_dw * ones)
         coo.add(rows, ahead, +inv_dw * ones)
-    return coo.build((dofs.n_dofs, mesh.n_cells))
+    return coo.build()
 
 
 def diffusion_matrix(mesh: MacMesh, mu_t: ViscosityTensorField,
                      dofs: FaceDofMap | None = None):
     """Matrix of u -> div_E(mu D(u)) on interior faces."""
     dofs = dofs or FaceDofMap(mesh)
-    coo = _Coo()
+    coo = _Coo((dofs.n_dofs, dofs.n_dofs))
+    _add_diffusion(coo, mesh, mu_t, dofs, 1.0)
+    return coo.build()
+
+
+def _add_diffusion(coo, mesh, mu_t, dofs, sign):
+    """Triples of ``sign`` times the matrix of :func:`diffusion_matrix`."""
     for i in range(mesh.dim):
         dof_i = dofs.dof[i].reshape(mesh.faces_shape(i))
+        inv_vol = sign / mesh.dual_volumes(i)
         for j in range(mesh.dim):
             # flux = |sigma~| mu (d_j u_i + d_i u_j) / 2 through each (i, j)
             # dual face, +flux to the row below it, -flux to the row above;
@@ -547,6 +616,7 @@ def diffusion_matrix(mesh: MacMesh, mu_t: ViscosityTensorField,
             # ids of u_i below/above the dual face (ghost -> -1): the rows,
             # and the columns of d_j u_i
             ui_lo, ui_hi = _neighbours(dof_i, j, None if j == i else -1)
+            ivol_lo, ivol_hi = _neighbours(inv_vol, j, None if j == i else 0.0)
             derivatives = [(ui_lo, ui_hi, mesh.dual_face_distances(i, j))]
             if j != i:
                 coef = 0.5 * coef
@@ -554,22 +624,24 @@ def diffusion_matrix(mesh: MacMesh, mu_t: ViscosityTensorField,
                 dof_j = dofs.dof[j].reshape(mesh.faces_shape(j))
                 derivatives.append((*_neighbours(dof_j, i, -1),
                                     mesh.dual_face_distances(j, i)))
-            for rows, sgn in ((ui_lo, 1.0), (ui_hi, -1.0)):
+            for rows, ivol in ((ui_lo, ivol_lo), (ui_hi, -ivol_hi)):
                 for col_lo, col_hi, dist in derivatives:
-                    coo.add(rows, col_hi, sgn * coef / dist)
-                    coo.add(rows, col_lo, -sgn * coef / dist)
-    mat = coo.build((dofs.n_dofs, dofs.n_dofs))
-    inv_vol = 1.0 / np.concatenate(
-        [mesh.dual_volumes(i).ravel()[dofs.interior[i]] for i in range(mesh.dim)])
-    return sp.diags(inv_vol) @ mat
+                    coo.add(rows, col_hi, ivol * coef / dist)
+                    coo.add(rows, col_lo, -ivol * coef / dist)
 
 
 def convection_matrix(fluxes: MassFluxSet, scheme="centered",
                       dofs: FaceDofMap | None = None):
     """Matrix of v -> C(rho u) v for frozen fluxes."""
+    dofs = dofs or FaceDofMap(fluxes.mesh)
+    coo = _Coo((dofs.n_dofs, dofs.n_dofs))
+    _add_convection(coo, fluxes, scheme, dofs)
+    return coo.build()
+
+
+def _add_convection(coo, fluxes, scheme, dofs):
+    """Triples of the matrix of :func:`convection_matrix`."""
     mesh = fluxes.mesh
-    dofs = dofs or FaceDofMap(mesh)
-    coo = _Coo()
     for i in range(mesh.dim):
         dof_i = dofs.dof[i].reshape(mesh.faces_shape(i))
         inv_vol = 1.0 / mesh.dual_volumes(i)
@@ -583,7 +655,20 @@ def convection_matrix(fluxes: MassFluxSet, scheme="centered",
             for rows, sgn, ivol in ((ui_lo, 1.0, ivol_lo), (ui_hi, -1.0, ivol_hi)):
                 coo.add(rows, ui_lo, sgn * ivol * dual_phi * w_lo)
                 coo.add(rows, ui_hi, sgn * ivol * dual_phi * w_hi)
-    return coo.build((dofs.n_dofs, dofs.n_dofs))
+
+
+def _momentum_matrix(mass, fluxes: MassFluxSet, mu_t: ViscosityTensorField,
+                     scheme, dofs: FaceDofMap,
+                     pattern: _Pattern | None = None):
+    """Matrix of v -> diag(mass) v + C(rho u) v - div_E(mu D(v)), the
+    linearized momentum operator, in one assembly through ``pattern``."""
+    mesh = fluxes.mesh
+    coo = _Coo((dofs.n_dofs, dofs.n_dofs), pattern)
+    ids = np.arange(dofs.n_dofs)
+    coo.add(ids, ids, mass)
+    _add_convection(coo, fluxes, scheme, dofs)
+    _add_diffusion(coo, mesh, mu_t, dofs, -1.0)
+    return coo.build()
 
 
 def _advection_weights(dual_phi, scheme):
@@ -596,10 +681,13 @@ def _advection_weights(dual_phi, scheme):
     raise OperatorError(f"unknown advection scheme {scheme!r}")
 
 
-def transport_matrix(mesh: MacMesh, u: VelocityField):
-    """Matrix of rho -> (1/|K|) sum_sigma F_{K,sigma}(rho; u) with upwind
-    face densities (linear in rho for frozen u)."""
-    coo = _Coo()
+def transport_matrix(mesh: MacMesh, u: VelocityField, diagonal=0.0,
+                     pattern: _Pattern | None = None):
+    """Matrix of rho -> diagonal rho + (1/|K|) sum_sigma F_{K,sigma}(rho; u)
+    with upwind face densities (linear in rho for frozen u), assembled
+    through ``pattern``.  Its sparsity does not depend on u or on
+    ``diagonal``, whose entries are always stored."""
+    coo = _Coo((mesh.n_cells, mesh.n_cells), pattern)
     cells = _cell_ids(mesh)
     inv_vol = 1.0 / mesh.cell_volumes
     for i in range(mesh.dim):
@@ -615,7 +703,8 @@ def transport_matrix(mesh: MacMesh, u: VelocityField):
         coo.add(kb, ka, -vb * dn)
         coo.add(ka, kb, -va * up)
         coo.add(ka, ka, va * dn)
-    return coo.build((mesh.n_cells, mesh.n_cells))
+    coo.add(cells, cells, diagonal)
+    return coo.build()
 
 
 def dump_matrix_coo(matrix, path):

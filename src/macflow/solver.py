@@ -5,28 +5,36 @@ Each iteration solves the linear implicit upwind transport system for the
 density, rebuilds fluxes, dual densities and face viscosities, then solves
 the linearized (Oseen-type) saddle-point system for velocity and pressure
 with the zero-mean pressure constraint imposed through a single Lagrange
-multiplier row/column.  Convergence is declared on the nonlinear residuals of
-the coupled system; a trailing transport solve with the accepted velocity
-leaves the published state satisfying the mass balance in every cell to a
-residual of at most ``TRANSPORT_RTOL`` (1e-14) times the largest entry of
-the right-hand side.
+multiplier row/column; in 2d, where the pressure is recovered after the
+velocity, through one pinned cell and a shift to zero mean instead.
+Convergence is declared on the nonlinear residuals of the coupled system;
+a trailing transport solve with the accepted velocity leaves the published
+state satisfying the mass balance in every cell to a residual of at most
+``TRANSPORT_RTOL`` (1e-14) times the largest entry of the right-hand side.
 
 Linear solves follow one policy.  Transport systems are solved by
 Jacobi-preconditioned BiCGSTAB, whose answer is accepted only within that
 max-norm bound; otherwise the system is factored directly.  The momentum
 system goes through :class:`LinearSolve`, which keeps the SuperLU factors of
-the first system of a run and solves every later one by GMRES, applied
-matrix-free and preconditioned by those lagged factors (Knoll & Keyes,
-J. Comput. Phys. 193, 2004).  In 2d the factor is that of the reduced
-stream-function system.  In 3d the preconditioner is block upper-triangular
-(Cahouet & Chabard, IJNMF 8, 1988; Elman, Silvester & Wathen, Finite
-Elements and Fast Iterative Solvers, 2nd ed., 2014, ch. 9): a factor of the
-velocity block and a variable-density Cahouet-Chabard approximation of the
-pressure Schur complement.  Factors are rebuilt only when GMRES misses its
-target in one cycle or the residual check of the original equations fails;
-in 3d, when the fresh factors fail too, the saddle system is factored and
-solved directly.  A step whose Picard loop stalls is retried once with
-every momentum system solved directly.
+the first system of a run and solves every later one by GMRES,
+preconditioned by those lagged factors (Knoll & Keyes, J. Comput. Phys.
+193, 2004).  In 2d the factor is that of the reduced stream-function
+system, and GMRES applies the momentum operator matrix-free.  In 3d the
+preconditioner is block upper-triangular (Cahouet & Chabard, IJNMF 8,
+1988; Elman, Silvester & Wathen, Finite Elements and Fast Iterative
+Solvers, 2nd ed., 2014, ch. 9): a factor of the velocity block and a
+variable-density Cahouet-Chabard approximation of the pressure Schur
+complement; GMRES multiplies by the momentum matrix, assembled once per
+solve.  Factors are rebuilt only when GMRES misses its target in one cycle
+or the residual check of the original equations fails; that check always
+applies the momentum operator matrix-free.  In 3d, when the fresh factors
+fail too, the saddle system is assembled afresh, factored and solved
+directly.  A step whose Picard loop stalls is retried once with every
+momentum system solved directly.
+
+Mesh-constant assembly work is done once per mesh: :class:`StepSolver`
+holds the CSR pattern of the transport matrix and, in 3d, of the momentum
+matrix, so that later assemblies only sum new values into it.
 """
 
 from dataclasses import dataclass
@@ -180,9 +188,10 @@ class StepStats:
 
 def _splu(matrix, what, symmetric_pattern=False):
     # MMD on the A^T+A pattern beats COLAMD on the 2d reduced systems, the
-    # pressure recovery system, the 3d velocity block and the bordered
-    # pressure Laplacian, but degrades badly on the indefinite saddle
-    # matrix, which keeps COLAMD
+    # pinned pressure recovery system, the 3d velocity block and the
+    # bordered pressure Laplacian, but degrades badly on the indefinite
+    # saddle matrix, which keeps COLAMD; on a dense border it is slow to
+    # order, so the 2d pressure recovery pins a cell instead
     kwargs = {"permc_spec": "MMD_AT_PLUS_A"} if symmetric_pattern else {}
     try:
         return spla.splu(matrix.tocsc(), **kwargs)
@@ -191,8 +200,8 @@ def _splu(matrix, what, symmetric_pattern=False):
 
 
 def transport_solve(rho_n: CellScalarField, u: VelocityField, dt,
-                    linear_tol=1e-9, stats: StepStats | None = None
-                    ) -> CellScalarField:
+                    linear_tol=1e-9, stats: StepStats | None = None,
+                    pattern=None) -> CellScalarField:
     """Implicit upwind mass balance for fixed velocity: linear in the new
     density.
 
@@ -201,11 +210,11 @@ def transport_solve(rho_n: CellScalarField, u: VelocityField, dt,
     right-hand side entry, which bounds the dual-cell mass defect that
     :func:`~macflow.verification.step_audit` checks on any grid.  Otherwise
     the system is factored and solved directly, which must meet
-    ``linear_tol``.  Work is counted into ``stats`` when given."""
+    ``linear_tol``.  Work is counted into ``stats`` when given; the matrix
+    is assembled through ``pattern`` (see :class:`StepSolver`) when given."""
     stats = StepStats() if stats is None else stats
     mesh = rho_n.mesh
-    T = ops.transport_matrix(mesh, u)
-    A = sp.eye(mesh.n_cells, format="csr") / dt + T
+    A = ops.transport_matrix(mesh, u, 1.0 / dt, pattern)
     rhs = rho_n.values / dt
     scale = max(np.linalg.norm(rhs), np.finfo(float).tiny)
     bound = TRANSPORT_RTOL * np.max(np.abs(rhs))
@@ -241,21 +250,22 @@ class LinearSolve:
     """Lagged-factor solve of a sequence of slowly changing systems.
 
     Holds the preconditioner that ``factor()`` built from the factors of an
-    earlier system and solves each later system by GMRES, applied
-    matrix-free and preconditioned by those stale factors.  The factors are
-    rebuilt when GMRES does not reach ``REDUCED_ACCEPT`` within one cycle
-    of ``restart`` iterations or when the caller's check of the original
-    equations rejects the Krylov answer.  Without ``direct`` the
+    earlier system and solves each later system by GMRES with the caller's
+    product ``apply``, preconditioned by those stale factors.  The factors
+    are rebuilt when GMRES does not reach ``REDUCED_ACCEPT`` within one
+    cycle of ``restart`` iterations or when the caller's check of the
+    original equations rejects the Krylov answer.  Without ``direct`` the
     preconditioner is the exact inverse of the system it was factored from,
     and the fresh factors solve the system directly.  With ``direct`` it is
     an approximation: the fresh factors precondition one more GMRES cycle,
     and should that answer be rejected too, ``direct()`` solves the system
     without them.  Old factors are dropped before ``factor()`` or
-    ``direct()`` assembles anything, so that held factors never coexist
-    with a newly assembled matrix (together they would raise the peak
-    memory of a 256^2 run by about a fifth).  With ``lagged`` False no
-    Krylov answer is tried: every system is factored afresh and solved
-    directly, by ``direct()`` when given.
+    ``direct()`` is called, so that on the 2d route, which assembles only
+    inside ``factor()``, held factors never coexist with a newly assembled
+    matrix (together they would raise the peak memory of a 256^2 run by
+    about a fifth).  With ``lagged`` False no Krylov answer is tried: every
+    system is factored afresh and solved directly, by ``direct()`` when
+    given.
     """
 
     def __init__(self, restart):
@@ -328,7 +338,7 @@ def _stream_curl_matrix(mesh: MacMesh, dofs: ops.FaceDofMap):
     nv = (n0 - 1) * (n1 - 1)
     # vertex ids, -1 on the boundary (stream value 0)
     vertex = np.pad(np.arange(nv).reshape(n0 - 1, n1 - 1), 1, constant_values=-1)
-    coo = ops._Coo()
+    coo = ops._Coo((dofs.n_dofs, nv))
     # u_0 = +d_1 psi and u_1 = -d_0 psi: the difference of the two vertices
     # of each face along the other axis
     for i, axis, sign in ((0, 1, 1.0), (1, 0, -1.0)):
@@ -337,7 +347,7 @@ def _stream_curl_matrix(mesh: MacMesh, dofs: ops.FaceDofMap):
         coef = sign / _axis_view(mesh.widths[axis], axis, mesh.dim)
         coo.add(rows, hi, coef)
         coo.add(rows, lo, -coef)
-    return coo.build((dofs.n_dofs, nv))
+    return coo.build()
 
 
 class StepSolver:
@@ -346,25 +356,34 @@ class StepSolver:
 
     The route follows the dimension.  In 2d the divergence constraint is
     eliminated through the stream-function parametrization ("nullspace"),
-    followed by a pressure recovery from a pre-factorized normal-equation
-    Poisson system.  The first reduced system ``curl^T W A curl`` of a run
-    is factored, and every later one is solved by GMRES preconditioned with
-    that lagged factor.  In 3d ("saddle") the Lagrange-bordered system
+    followed by a pressure recovery from the normal equations ``G^T W G p =
+    G^T W (b - A u)``, factored once with one cell pinned (identity row and
+    column) and shifted to zero mean; this is exact because ``G 1 = 0``, so
+    the right-hand side sums to zero.  The first reduced system ``curl^T W
+    A curl`` of a run is factored, and every later one is solved by GMRES
+    preconditioned with that lagged factor, with ``A`` applied
+    matrix-free.  In 3d ("saddle") the Lagrange-bordered system
     ``[[A, G, 0], [D, 0, m], [0, m^T, 0]]`` is solved by GMRES, preconditioned
     block upper-triangularly: the pressure part ``z_p = L^-1 r_p / dt -
     (mu_K/|K|) r_p``, projected to the mean the last row asks for, where
     ``L = D diag(1/rho_D) G`` bordered by the cell volumes ``m`` is factored
     and its bordered solve also gives the multiplier; then the velocity
-    part ``z_u = A^-1 (r_u - G z_p)`` from a factor of ``A``.  Both factors
-    are held like the 2d one; when GMRES fails with fresh factors too, the
-    saddle matrix is factored and solved directly, with one step of
-    iterative refinement.  ``A`` is applied matrix-free on both routes and
-    the factors are rebuilt only when GMRES misses its target or the
-    residual check below fails.  ``method`` overrides the choice only so
-    that tests can run the algebraically equivalent 2d saddle route as a
-    reference.  Both routes check the residual of the original equations
-    against ``linear_tol``.
+    part ``z_u = A^-1 (r_u - G z_p)`` from a factor of ``A``.  ``A`` is
+    assembled once per solve, through the held ``momentum_pattern``, and
+    serves both the GMRES product and the velocity-block factor.  Both
+    factors are held like the 2d one; when GMRES fails with fresh factors
+    too, the saddle matrix is assembled afresh, factored and solved
+    directly, with one step of iterative refinement.  The factors are
+    rebuilt only when GMRES misses its target or the residual check below
+    fails.  ``method`` overrides the choice only so that tests can run the
+    algebraically equivalent 2d saddle route as a reference.  Both routes
+    check the residual of the original equations against ``linear_tol``,
+    with ``A`` applied matrix-free: an assembled matrix never decides
+    whether an answer is accepted.  ``transport_pattern`` holds the CSR
+    pattern of the transport matrix for :func:`transport_solve`.
     """
+
+    PINNED_CELL = 0     # the cell whose pressure the recovery factor fixes
 
     def __init__(self, mesh: MacMesh, method=None):
         self.mesh = mesh
@@ -382,22 +401,36 @@ class StepSolver:
         self.method = method
         self.linear = LinearSolve(GMRES_RESTART if method == "nullspace"
                                   else SADDLE_RESTART)
-        if method == "nullspace":
+        self.transport_pattern = ops._Pattern()
+        if method == "saddle":
+            # the saddle route assembles A on every solve; the reduced
+            # route only to factor it, and at 256^2 holding the map beside
+            # that factor would add ~5% to the peak memory
+            self.momentum_pattern = ops._Pattern()
+        else:
             self.curl = _stream_curl_matrix(mesh, self.dofs)
             self.weight = sp.diags(self.dual_vol)
             gw = self.grad.T @ self.weight @ self.grad
-            m = self.cell_vol
-            aug = sp.bmat([[gw, m[:, None]], [m[None, :], None]], format="csc")
-            self._pressure_lu = _splu(aug, "pressure recovery system",
+            # G 1 = 0: G^T W G is singular along the constants only, and
+            # every right-hand side G^T W r sums to zero, so fixing one cell
+            # (identity row and column) leaves the other rows exact
+            keep = np.ones(mesh.n_cells)
+            keep[self.PINNED_CELL] = 0.0
+            mask = sp.diags(keep)
+            self._pressure_lu = _splu(mask @ gw @ mask + sp.diags(1.0 - keep),
+                                      "pressure recovery system",
                                       symmetric_pattern=True)
 
-    def _assemble_momentum(self, rho_dual_new, fluxes, mu_t, dt, scheme):
-        return (sp.diags(self.dofs.pack(rho_dual_new) / dt)
-                + ops.convection_matrix(fluxes, scheme, self.dofs)
-                - ops.diffusion_matrix(self.mesh, mu_t, self.dofs))
+    def _recover_pressure(self, rhs):
+        """The zero-mean solution of ``G^T W G p = rhs`` for a ``rhs`` that
+        sums to zero: the solution with the pinned cell at zero, shifted."""
+        rhs = rhs.copy()
+        rhs[self.PINNED_CELL] = 0.0
+        p = self._pressure_lu.solve(rhs)
+        return p - np.dot(self.cell_vol, p) / self.mesh.domain_measure
 
     def _momentum_apply(self, rho_dual_new, fluxes, mu_t, dt, scheme):
-        """Matrix-free product with the matrix of :meth:`_assemble_momentum`."""
+        """Matrix-free product with the matrix of ``ops._momentum_matrix``."""
         mesh, dofs = self.mesh, self.dofs
         mass = dofs.pack(rho_dual_new) / dt
 
@@ -421,7 +454,6 @@ class StepSolver:
 
     def _reduced(self, apply, assemble, b, linear_tol, stats):
         """2d: the reduced stream-function system, then the pressure."""
-        nc = self.mesh.n_cells
         curl, weight = self.curl, self.weight
 
         def apply_reduced(psi):
@@ -437,9 +469,7 @@ class StepSolver:
         def recover(psi):
             u_vec = curl @ psi
             Au = apply(u_vec)
-            p_rhs = np.zeros(nc + 1)
-            p_rhs[:nc] = self.grad.T @ (weight @ (b - Au))
-            p_vec = self._pressure_lu.solve(p_rhs)[:nc]
+            p_vec = self._recover_pressure(self.grad.T @ (weight @ (b - Au)))
             return u_vec, p_vec, self._residual(Au, u_vec, p_vec, b)
 
         return self.linear.solve(apply_reduced, factor_reduced,
@@ -454,17 +484,18 @@ class StepSolver:
         grad, div_c, m = self.grad, self.div_c, self.cell_vol
         rhs = np.zeros(nu + nc + 1)
         rhs[:nu] = b
+        A = assemble(self.momentum_pattern)
 
         def apply_saddle(x):
             u_vec, p_vec = x[:nu], x[nu:nu + nc]
             out = np.empty_like(x)
-            out[:nu] = apply(u_vec) + grad @ p_vec
+            out[:nu] = A @ u_vec + grad @ p_vec
             out[nu:nu + nc] = div_c @ u_vec + m * x[-1]
             out[-1] = np.dot(m, p_vec)
             return out
 
         def factor_blocks():
-            a_lu = _splu(assemble().tocsc(), "momentum block",
+            a_lu = _splu(A.tocsc(), "momentum block",
                          symmetric_pattern=True)
             stats.factorizations += 1
             lap = div_c @ sp.diags(1.0 / self.dofs.pack(rho_dual_new)) @ grad
@@ -489,6 +520,8 @@ class StepSolver:
             return precond
 
         def direct():
+            # assembled afresh: the last resort shares no pattern with the
+            # Krylov product and the blocks
             K = sp.bmat([[assemble(), grad, None],
                          [div_c, None, m[:, None]],
                          [None, m[None, :], None]], format="csc")
@@ -501,6 +534,7 @@ class StepSolver:
             return sol + lu.solve(rhs - K @ sol)
 
         def split(x):
+            # the check applies A matrix-free, never the assembled A
             u_vec, p_vec = x[:nu], x[nu:nu + nc]
             return u_vec, p_vec, self._residual(apply(u_vec), u_vec, p_vec, b)
 
@@ -523,9 +557,9 @@ class StepSolver:
             b = b + dofs.pack(f_faces)
         apply = self._momentum_apply(rho_dual_new, fluxes, mu_t, dt, scheme)
 
-        def assemble():
-            return self._assemble_momentum(rho_dual_new, fluxes, mu_t, dt,
-                                           scheme)
+        def assemble(pattern=None):
+            return ops._momentum_matrix(dofs.pack(rho_dual_new) / dt, fluxes,
+                                        mu_t, scheme, dofs, pattern)
 
         if self.method == "saddle":
             u_vec, p_vec, res = self._saddle(apply, assemble, b, rho_dual_new,
@@ -574,7 +608,8 @@ def _picard_step(state, cfg, mu_law, f_faces, solver, stats):
     dt = cfg.dt
     u_iter = state.u
     for k in range(cfg.picard_max):
-        rho_new = transport_solve(state.rho, u_iter, dt, cfg.linear_tol, stats)
+        rho_new = transport_solve(state.rho, u_iter, dt, cfg.linear_tol, stats,
+                                  solver.transport_pattern)
         mu_t = ops.viscosity_tensor(rho_new, mu_law)
         fluxes = ops.mass_fluxes(rho_new, u_iter)
         rho_dual_new = ops.dual_cell_density(rho_new)
@@ -599,7 +634,8 @@ def _picard_step(state, cfg, mu_law, f_faces, solver, stats):
             iterations=cfg.picard_max)
     # re-solve transport with the accepted velocity so the published pair
     # satisfies the mass balance in every cell to within TRANSPORT_RTOL
-    rho_final = transport_solve(state.rho, u_iter, dt, cfg.linear_tol, stats)
+    rho_final = transport_solve(state.rho, u_iter, dt, cfg.linear_tol, stats,
+                                solver.transport_pattern)
     new_state = TimeState(
         t=state.t + dt,
         rho=rho_final,

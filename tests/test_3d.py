@@ -12,9 +12,10 @@ from macflow import operators as ops
 from macflow.fields import CellScalarField, VelocityField, norm_h1
 from macflow.mesh import AxisPartition, build_mesh
 from macflow.problems import Problem, linear_viscosity
-from macflow.solver import (LinearSolveError, SolverConfig, SolverError,
-                            StepSolver, StepStats, advance_timestep,
-                            initial_state, run_simulation, transport_solve)
+from macflow.solver import (LinearSolve, LinearSolveError, SolverConfig,
+                            SolverError, StepSolver, StepStats,
+                            advance_timestep, initial_state, run_simulation,
+                            transport_solve)
 from macflow.verification import check_dualities
 
 
@@ -221,6 +222,43 @@ class TestBlockPreconditionedSaddle:
         monkeypatch.undo()
         self._assert_matches(mesh, system, u, p)
         assert np.max(np.abs(ops.divergence(u).values)) <= 1e-12
+
+    def test_wrong_assembled_product_is_caught_by_matrix_free_check(
+            self, rng, monkeypatch):
+        # GMRES and the blocks use A assembled through the held pattern;
+        # scaled by 1 + 1e-6 it still gives converged GMRES answers, to the
+        # wrong system, which the matrix-free residual check rejects with
+        # the held and the fresh blocks; the direct saddle LU assembles A
+        # afresh
+        mesh = stretched_mesh(6)
+        solver = StepSolver(mesh)
+        stats = StepStats()
+        first = self._system(mesh, rng)
+        self._solve(solver, first, stats)
+        real = ops._momentum_matrix
+
+        def perturbed(mass, fluxes, mu_t, scheme, dofs, pattern=None):
+            mat = real(mass, fluxes, mu_t, scheme, dofs, pattern)
+            return mat if pattern is None else mat * (1.0 + 1e-6)
+
+        real_krylov = LinearSolve._krylov
+        answers = []
+
+        def krylov(self, *args):
+            x = real_krylov(self, *args)
+            answers.append(x is not None)
+            return x
+
+        monkeypatch.setattr(ops, "_momentum_matrix", perturbed)
+        monkeypatch.setattr(LinearSolve, "_krylov", krylov)
+        system = self._system(mesh, rng, near=(first[2].rho, first[1]))
+        u, p, res = self._solve(solver, system, stats)
+        assert answers == [True, True]
+        # the first pair, the fresh pair and the saddle LU
+        assert stats.factorizations == 2 + 2 + 1
+        assert res <= 1e-9
+        monkeypatch.undo()
+        self._assert_matches(mesh, system, u, p)
 
     def test_direct_saddle_lu_failure_is_typed(self, rng, monkeypatch):
         mesh = stretched_mesh(6)

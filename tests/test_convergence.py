@@ -7,13 +7,15 @@ from macflow.convergence import (cell_field_difference, convergence_study,
 from macflow.mesh import AxisPartition, build_mesh
 
 
-def study_setup(name, levels):
-    """A 2d unit-square study of ``name`` with dt_coarsest 0.1 and t_end 0.2."""
+def study_setup(name, levels, **convergence):
+    """A 2d unit-square study of ``name`` with dt_coarsest 0.1 and t_end 0.2;
+    ``convergence`` adds keys to that section."""
     return load_config({
         "mesh": {"axes": [{"n": 4}, {"n": 4}]},
         "problem": {"name": name},
         "solver": {"dt": 0.1, "t_end": 0.2},
-        "convergence": {"levels": levels, "dt_coarsest": 0.1, "t_end": 0.2}})
+        "convergence": {"levels": levels, "dt_coarsest": 0.1, "t_end": 0.2,
+                        **convergence}})
 
 
 class TestOverlapComparator:
@@ -93,3 +95,16 @@ class TestStudyDriver:
         assert table.orders["u"] is None
         assert any("repeated mesh size" in f for f in table.flags)
         assert "undefined" in table.format()
+
+    def test_reference_level_unused_with_exact_solution(self):
+        lines = []
+        table = convergence_study(study_setup("mms_a", [4, 6, 8],
+                                              reference_n=12),
+                                  progress=lines.append)
+        plain = convergence_study(study_setup("mms_a", [4, 6, 8]))
+        assert [line.split(":")[0] for line in lines] == [
+            "level 4x4", "level 6x6", "level 8x8"]
+        assert table.reference_n is None
+        assert "reference" not in table.format()
+        assert [row.errors for row in table.levels] == \
+            [row.errors for row in plain.levels]

@@ -6,7 +6,7 @@ from conftest import random_cells, random_velocity
 from macflow import operators as ops
 from macflow.fields import (CellScalarField, VelocityField, norm_h1,
                             velocity_inner)
-from macflow.mesh import build_mesh
+from macflow.mesh import AxisPartition, build_mesh
 
 
 def positive_cells(mesh, rng):
@@ -344,6 +344,88 @@ class TestTransportMatrix:
         fluxes = ops.primal_fluxes(rho, u)
         assert np.allclose(mat @ rho.values, ops.mass_divergence(fluxes).values,
                            atol=1e-13)
+
+
+def _scipy_build(coo):
+    """scipy's own COO -> CSR conversion of the triples a fresh ``_Coo``
+    holds, in place of the slot map."""
+    keys = np.concatenate(coo.keys)
+    vals = np.concatenate([np.ravel(v) for v in coo.vals])
+    n_rows, n_cols = coo.shape
+    real = keys < n_rows * n_cols
+    return sp.csr_matrix((vals[real], (keys[real] // n_cols,
+                                       keys[real] % n_cols)),
+                         shape=coo.shape)
+
+
+PATTERN_MESHES = {
+    "mesh33": lambda: build_mesh([[0.0, 0.2, 0.5, 1.0], [0.0, 0.4, 0.7, 1.0]]),
+    "mesh345": lambda: build_mesh([AxisPartition.geometric(0.0, 1.0, 3, 2.0),
+                                   AxisPartition.geometric(0.0, 1.0, 4, 3.0),
+                                   AxisPartition.geometric(0.0, 1.0, 5, 1.5)]),
+    "stretched_3d": lambda: build_mesh(
+        [AxisPartition.geometric(0.0, 1.0, 4, 3.0)] * 3),
+}
+
+
+class TestAssemblyPattern:
+    """A pattern filled by one assembly serves a later one with other values
+    (upwind donors flipped included) exactly as a fresh COO -> CSR build."""
+
+    @staticmethod
+    def _assert_same(held, fresh):
+        assert np.array_equal(held.indptr, fresh.indptr)
+        assert np.array_equal(held.indices, fresh.indices)
+        scale = np.max(np.abs(fresh.data))
+        assert np.max(np.abs(held.data - fresh.data)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("mesh_name", list(PATTERN_MESHES))
+    def test_transport(self, mesh_name, rng, monkeypatch):
+        mesh = PATTERN_MESHES[mesh_name]()
+        pattern = ops._Pattern()
+        ops.transport_matrix(mesh, random_velocity(mesh, rng), 3.0, pattern)
+        u = random_velocity(mesh, rng)
+        held = ops.transport_matrix(mesh, u, 7.0, pattern)
+        monkeypatch.setattr(ops._Coo, "build", _scipy_build)
+        fresh = ops.transport_matrix(mesh, u, 7.0)
+        self._assert_same(held, fresh)
+
+    @pytest.mark.parametrize("scheme", ["centered", "upwind"])
+    @pytest.mark.parametrize("mesh_name", list(PATTERN_MESHES))
+    def test_momentum(self, mesh_name, scheme, rng, monkeypatch):
+        mesh = PATTERN_MESHES[mesh_name]()
+        dofs = ops.FaceDofMap(mesh)
+        pattern = ops._Pattern()
+
+        def momentum(pattern=None):
+            rho = positive_cells(mesh, rng)
+            fluxes = ops.mass_fluxes(rho, random_velocity(mesh, rng))
+            mu_t = ops.viscosity_tensor(rho, lambda r: 0.1 + 0.2 * r)
+            mass = rng.uniform(1.0, 2.0, dofs.n_dofs)
+            args = (mass, fluxes, mu_t, scheme, dofs)
+            return args, ops._momentum_matrix(*args, pattern)
+
+        momentum(pattern)
+        args, _ = momentum()
+        held = ops._momentum_matrix(*args, pattern)
+        monkeypatch.setattr(ops._Coo, "build", _scipy_build)
+        self._assert_same(held, ops._momentum_matrix(*args))
+
+    def test_pattern_of_another_shape_rejected(self, mesh33, rng):
+        pattern = ops._Pattern()
+        ops.transport_matrix(mesh33, random_velocity(mesh33, rng), 1.0,
+                             pattern)
+        mesh = build_mesh([AxisPartition.uniform(0.0, 1.0, 4)] * 2)
+        with pytest.raises(ops.OperatorError):
+            ops.transport_matrix(mesh, VelocityField.zero(mesh), 1.0, pattern)
+
+    @pytest.mark.parametrize("breaks", [[[0.0, 1.0], [0.0, 1.0]],
+                                        [[0.0, 1.0], [0.0, 0.4, 1.0]]],
+                             ids=["1x1", "1x2"])
+    def test_diagonal_stored_on_one_cell_axis(self, breaks):
+        mesh = build_mesh(breaks)
+        mat = ops.transport_matrix(mesh, VelocityField.zero(mesh), 5.0)
+        assert np.array_equal(mat.diagonal(), np.full(mesh.n_cells, 5.0))
 
 
 class TestMatrixDump:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import KrylovStall, SpluFault, random_cells, random_velocity
@@ -304,6 +305,31 @@ class TestStreamCurl:
         assert curl.shape == (dofs.n_dofs, (n0 - 1) * (n1 - 1))
         assert spla.norm(div_c @ curl) <= 1e-12 * spla.norm(curl)
         assert np.linalg.matrix_rank(curl.toarray()) == (n0 - 1) * (n1 - 1)
+
+
+class TestPressureRecovery:
+    """The 2d pressure recovery factors G^T W G with one cell pinned and
+    shifts its answer to zero mean instead of bordering the matrix by the
+    cell volumes."""
+
+    def test_pinned_solve_matches_bordered_solve(self, mesh_stretched, rng):
+        mesh = mesh_stretched
+        solver = StepSolver(mesh)
+        m = solver.cell_vol
+        gw = solver.grad.T @ solver.weight @ solver.grad
+        bordered = sp.bmat([[gw, m[:, None]], [m[None, :], None]],
+                           format="csc")
+        # a recovery right-hand side G^T W r, which sums to zero
+        rhs = solver.grad.T @ (solver.weight
+                               @ rng.uniform(-1, 1, solver.dofs.n_dofs))
+        p = solver._recover_pressure(rhs)
+        ref = spla.spsolve(bordered, np.append(rhs, 0.0))[:-1]
+        assert np.max(np.abs(p - ref)) <= 1e-12 * np.max(np.abs(ref))
+        mean = np.dot(m, p) / mesh.domain_measure
+        assert abs(mean) <= 1e-14 * np.max(np.abs(p))
+        lu = spla.splu(bordered, permc_spec="MMD_AT_PLUS_A")
+        pinned = solver._pressure_lu
+        assert pinned.L.nnz + pinned.U.nnz <= lu.L.nnz + lu.U.nnz
 
 
 class TestAdvanceTimestep:
