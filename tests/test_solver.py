@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,7 +10,7 @@ from macflow import operators as ops
 from macflow.fields import CellScalarField, VelocityField
 from macflow.mesh import AxisPartition, build_mesh, dual_faces_of
 from macflow.problems import make_problem
-from macflow.solver import (TRANSPORT_RTOL, LinearSolveError,
+from macflow.solver import (MMAP_THRESHOLD, TRANSPORT_RTOL, LinearSolveError,
                             PicardDivergenceError, SolverConfig, SolverError,
                             StepSolver, StepStats, TimeState,
                             TransportSolveError, _stream_curl_matrix,
@@ -564,3 +566,26 @@ class TestTimeState:
         with pytest.raises(SolverError):
             TimeState(0.0, rho, VelocityField.zero(mesh22), p,
                       ops.dual_cell_density(rho), rho_bounds=(0.5, 1.5))
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
+class TestMmapThreshold:
+    def test_large_block_is_mmapped_after_a_larger_free(self):
+        """With glibc's sliding threshold, freeing a 24 MiB mmapped block
+        moves every later block up to 24 MiB into the heap; with the
+        threshold fixed, an 8 MiB block is still mmapped."""
+        try:
+            mallinfo2 = ctypes.CDLL(None).mallinfo2
+        except (OSError, TypeError, AttributeError):
+            pytest.skip("no glibc mallinfo2")
+        mallinfo2.restype = _Mallinfo2
+        big = np.empty(3 * MMAP_THRESHOLD // 4)     # 8-byte items: 24 MiB
+        del big
+        before = mallinfo2().hblkhd
+        block = np.empty(MMAP_THRESHOLD // 4)       # 8 MiB
+        assert mallinfo2().hblkhd - before >= block.nbytes
