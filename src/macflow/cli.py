@@ -44,7 +44,7 @@ def build_parser():
     p_conv = sub.add_parser("convergence", help="refinement study")
     _add_common(p_conv)
     p_conv.add_argument("--levels", type=int, default=None,
-                        help="use only the first K configured levels")
+                        help="use only the first K >= 3 configured levels")
 
     p_ver = sub.add_parser("verify", help="run the identity/inequality suites")
     _add_common(p_ver)
@@ -118,10 +118,12 @@ def _cmd_run(args):
 
 
 def _cmd_convergence(args):
+    if args.levels is not None and args.levels < 3:
+        raise ConfigError("--levels", "a study needs at least 3 levels")
     setup = load_config(args.config)
     levels = None
     if args.levels is not None and setup.convergence is not None:
-        levels = setup.convergence["levels"][:max(args.levels, 0)]
+        levels = setup.convergence["levels"][:args.levels]
     os.makedirs(args.output_dir, exist_ok=True)
     try:
         table = convergence_study(setup, levels,

@@ -288,9 +288,6 @@ def norm_l2(field) -> float:
         for i, comp in enumerate(field.components):
             total += float(np.dot(field.mesh.dual_volumes(i).ravel(), comp ** 2))
         return float(np.sqrt(total))
-    if isinstance(field, DualGridField):
-        vols = field.mesh.pair_volumes(*field.pair).ravel()
-        return float(np.sqrt(np.dot(vols, field.values ** 2)))
     raise TypeError(f"no L2 norm for {type(field).__name__}")
 
 
@@ -300,10 +297,6 @@ def norm_lp(field, p) -> float:
         vols, vals = field.mesh.cell_volumes.ravel(), field.values
     elif isinstance(field, DualGridField):
         vols, vals = field.mesh.pair_volumes(*field.pair).ravel(), field.values
-    elif isinstance(field, VelocityField):
-        vols = np.concatenate([field.mesh.dual_volumes(i).ravel()
-                               for i in range(field.mesh.dim)])
-        vals = np.concatenate(field.components)
     else:
         raise TypeError(f"no Lp norm for {type(field).__name__}")
     if np.isinf(p):

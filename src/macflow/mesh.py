@@ -168,7 +168,6 @@ class MacMesh:
                 except MeshError as exc:
                     raise MeshError(f"axis {axis}: {exc}") from None
                 partitions = partitions[:axis] + (part,) + partitions[axis + 1:]
-        self.partitions = partitions
         self.dim = len(partitions)
         self.n = tuple(p.n for p in partitions)
         self.breaks = [p.breakpoints for p in partitions]

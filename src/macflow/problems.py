@@ -13,6 +13,7 @@ import numpy as np
 
 from .fields import project_face
 from .mesh import MacMesh
+from .schema import REQUIRED, ConfigError, parse_section
 
 __all__ = [
     "Problem",
@@ -123,28 +124,34 @@ class Problem:
         return {"u": math.sqrt(err_u_sq), "p": err_p, "rho": err_rho}
 
 
+_LAWS = {
+    "constant": (constant_viscosity, {"value": (float, REQUIRED)}),
+    "linear": (linear_viscosity, {"a": (float, REQUIRED),
+                                  "b": (float, REQUIRED)}),
+    "table": (table_viscosity, {"rho": ([float], REQUIRED),
+                                "mu": ([float], REQUIRED)}),
+}
+
+
 def viscosity_from_params(params, default):
-    """Viscosity law selected by the ``mu_law`` problem parameter:
-    ``{"type": "constant", "value": v}``, ``{"type": "linear", "a": a,
-    "b": b}`` or ``{"type": "table", "rho": [...], "mu": [...]}``; falls back
-    to ``default`` when absent."""
-    spec = params.get("mu_law")
+    """Viscosity law selected by the ``mu_law`` problem parameter, an object
+    whose ``type`` names a law of ``_LAWS`` and whose other keys are exactly
+    that law's arguments; ``default`` when the parameter is absent."""
+    spec = params["mu_law"]
     if spec is None:
         return default
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ValueError("mu_law must be an object with a 'type' key")
-    kind = spec["type"]
+    kind = spec.get("type")
+    if not isinstance(kind, str) or kind not in _LAWS:
+        raise ValueError(f"unknown viscosity law type {kind!r}; available: "
+                         f"{', '.join(_LAWS)}")
+    law, keys = _LAWS[kind]
     try:
-        if kind == "constant":
-            return constant_viscosity(spec["value"])
-        if kind == "linear":
-            return linear_viscosity(spec["a"], spec["b"])
-        if kind == "table":
-            return table_viscosity(spec["rho"], spec["mu"])
-    except KeyError as exc:
-        raise ValueError(f"mu_law of type {kind!r} needs the key "
-                         f"{exc.args[0]!r}") from None
-    raise ValueError(f"unknown viscosity law type {kind!r}")
+        args = parse_section(spec, {"type": (str, REQUIRED), **keys}, "mu_law")
+    except ConfigError as exc:
+        # a plain ValueError, so that it is reported at the problem like
+        # the law's own checks of its arguments
+        raise ValueError(str(exc)) from None
+    return law(*(args[key] for key in keys))
 
 
 # -- polynomial bump helpers --------------------------------------------------------
@@ -167,22 +174,34 @@ def _d3g(s):
 
 # -- named problems -----------------------------------------------------------------
 
+_PROBLEMS = {}
+
+
+def _problem(name, **params):
+    """Register the decorated factory as problem ``name``, which takes the
+    parameters ``key=(kind, default)`` (see :mod:`macflow.schema`)."""
+    def register(factory):
+        _PROBLEMS[name] = (factory, params)
+        return factory
+    return register
+
+
 def _require_unit_square(mesh, name):
     lo, hi = mesh.bounds
     if mesh.dim != 2 or not (np.allclose(lo, 0.0) and np.allclose(hi, 1.0)):
         raise ValueError(f"problem {name!r} is defined on the unit square")
 
 
+@_problem("mms_a", rho=(float, 1.0), mu=(float, 0.1), mu_law=(dict, None))
 def _mms_a(mesh, params):
     """Constant density, stream-function velocity with double zeros on the
     boundary, smooth pressure; the forcing is the closed-form residual of the
     momentum equation."""
     _require_unit_square(mesh, "mms_a")
-    if "mu_law" in params:
+    if params["mu_law"] is not None:
         raise ValueError("mms_a derives its forcing for a constant viscosity; "
                          "set the 'mu' parameter instead of 'mu_law'")
-    rho0_val = float(params.get("rho", 1.0))
-    mu_val = float(params.get("mu", 0.1))
+    rho0_val, mu_val = params["rho"], params["mu"]
     pi = math.pi
 
     def u1(t, x, y):
@@ -217,7 +236,6 @@ def _mms_a(mesh, params):
         u0=(lambda x, y: u1(0.0, x, y), lambda x, y: u2(0.0, x, y)),
         mu_law=constant_viscosity(mu_val),
         forcing=(f1, f2),
-        time_independent_forcing=False,
         exact=ExactSolution(
             u=(u1, u2),
             p=p_exact,
@@ -226,15 +244,16 @@ def _mms_a(mesh, params):
     )
 
 
+@_problem("mms_b", velocity_amplitude=(float, 5.0), gravity=(float, 2.0),
+          mu_a=(float, 0.1), mu_b=(float, 0.05), mu_law=(dict, None))
 def _mms_b(mesh, params):
     """Smooth variable density stirred by a decaying vortex under frozen
     buoyancy; no analytic solution, accuracy is judged against a fine-grid
     run."""
     _require_unit_square(mesh, "mms_b")
-    amp = float(params.get("velocity_amplitude", 5.0))
-    grav = float(params.get("gravity", 2.0))
-    mu_law = viscosity_from_params(params, linear_viscosity(
-        float(params.get("mu_a", 0.1)), float(params.get("mu_b", 0.05))))
+    amp, grav = params["velocity_amplitude"], params["gravity"]
+    mu_law = viscosity_from_params(params, linear_viscosity(params["mu_a"],
+                                                            params["mu_b"]))
     two_pi = 2.0 * math.pi
 
     def rho0(x, y):
@@ -263,6 +282,10 @@ def _mms_b(mesh, params):
     )
 
 
+@_problem("rayleigh_taylor", rho_light=(float, 1.0), rho_heavy=(float, 3.0),
+          amplitude=(float, 0.05), interface_width=(float, 0.02),
+          gravity=(float, 1.0), perturbation=(float, 0.0), mu_a=(float, 0.1),
+          mu_b=(float, 0.05), mu_law=(dict, None))
 def _rayleigh_taylor(mesh, params):
     """Heavy-over-light layering with a cosine interface and gravity acting
     on the frozen initial density; optionally seeded with a small solenoidal
@@ -271,14 +294,12 @@ def _rayleigh_taylor(mesh, params):
         raise ValueError("rayleigh_taylor is a 2d configuration")
     lo, hi = mesh.bounds
     lx, ly = hi[0] - lo[0], hi[1] - lo[1]
-    rho_light = float(params.get("rho_light", 1.0))
-    rho_heavy = float(params.get("rho_heavy", 3.0))
-    amplitude = float(params.get("amplitude", 0.05)) * ly
-    width = float(params.get("interface_width", 0.02)) * ly
-    gravity = float(params.get("gravity", 1.0))
-    eps = float(params.get("perturbation", 0.0))
-    mu_law = viscosity_from_params(params, linear_viscosity(
-        float(params.get("mu_a", 0.1)), float(params.get("mu_b", 0.05))))
+    rho_light, rho_heavy = params["rho_light"], params["rho_heavy"]
+    amplitude = params["amplitude"] * ly
+    width = params["interface_width"] * ly
+    gravity, eps = params["gravity"], params["perturbation"]
+    mu_law = viscosity_from_params(params, linear_viscosity(params["mu_a"],
+                                                            params["mu_b"]))
     y_mid = lo[1] + 0.5 * ly
     if rho_light <= 0.0 or rho_heavy <= rho_light:
         raise ValueError("need 0 < rho_light < rho_heavy")
@@ -313,10 +334,10 @@ def _rayleigh_taylor(mesh, params):
     )
 
 
+@_problem("quiescent", rho=(float, 1.0), mu=(float, 1.0), mu_law=(dict, None))
 def _quiescent(mesh, params):
-    rho_val = float(params.get("rho", 1.0))
-    mu_law = viscosity_from_params(
-        params, constant_viscosity(float(params.get("mu", 1.0))))
+    rho_val = params["rho"]
+    mu_law = viscosity_from_params(params, constant_viscosity(params["mu"]))
     zero = lambda *X: np.zeros_like(np.asarray(X[0], dtype=float))
     return Problem(
         name="quiescent",
@@ -324,7 +345,6 @@ def _quiescent(mesh, params):
         rho0=lambda *X: np.full_like(np.asarray(X[0], dtype=float), rho_val),
         u0=tuple([zero] * mesh.dim),
         mu_law=mu_law,
-        forcing=None,
         exact=ExactSolution(
             u=tuple([lambda t, *X: np.zeros_like(np.asarray(X[0], dtype=float))]
                     * mesh.dim),
@@ -334,21 +354,18 @@ def _quiescent(mesh, params):
     )
 
 
-_FACTORIES = {
-    "mms_a": _mms_a,
-    "mms_b": _mms_b,
-    "rayleigh_taylor": _rayleigh_taylor,
-    "quiescent": _quiescent,
-}
-
-PROBLEM_NAMES = tuple(sorted(_FACTORIES))
+PROBLEM_NAMES = tuple(sorted(_PROBLEMS))
 
 
 def make_problem(name, mesh, params=None) -> Problem:
+    """Problem ``name`` on ``mesh``.  A parameter absent from ``params``
+    takes its declared default; an undeclared or mistyped one is a
+    :class:`~macflow.schema.ConfigError` (a ``ValueError``) at
+    ``problem.params.<key>``."""
     try:
-        factory = _FACTORIES[name]
+        factory, spec = _PROBLEMS[name]
     except KeyError:
         raise ValueError(
             f"unknown problem {name!r}; available: {', '.join(PROBLEM_NAMES)}"
         ) from None
-    return factory(mesh, params or {})
+    return factory(mesh, parse_section(params or {}, spec, "problem.params"))

@@ -428,9 +428,8 @@ class StepSolver:
         self.grad = ops.pressure_gradient_matrix(mesh, self.dofs)
         self.div_c = ops.divergence_constraint_matrix(mesh, self.dofs)
         self.cell_vol = mesh.cell_volumes.ravel()
-        self.dual_vol = np.concatenate(
-            [mesh.dual_volumes(i).ravel()[self.dofs.interior[i]]
-             for i in range(mesh.dim)])
+        self.dual_vol = self.dofs.pack([mesh.dual_volumes(i)
+                                        for i in range(mesh.dim)])
         if method is None:
             method = "nullspace" if mesh.dim == 2 else "saddle"
         if method == "nullspace" and mesh.dim != 2:

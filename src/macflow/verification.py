@@ -418,7 +418,7 @@ def coupled_residuals(prev, rho_new, rho_dual_new, u_new, p, mu_t, fluxes,
             _rel(np.sqrt(res_sq), np.sqrt(scale_sq)))
 
 
-def step_audit(prev, next_state, cfg, mu_law=None, forcing=None,
+def step_audit(prev, next_state, cfg, mu_law, forcing=None,
                picard_iterations=0, step=0) -> DiagnosticsRecord:
     """Populate a diagnostics record from two consecutive states; violations
     beyond the configured tolerances are flagged, never raised."""
@@ -459,7 +459,7 @@ def step_audit(prev, next_state, cfg, mu_law=None, forcing=None,
     if div_max > 1e-10:
         violations.append("divergence")
 
-    mu_t = ops.viscosity_tensor(rho_np1, mu_law or (lambda r: np.ones_like(r)))
+    mu_t = ops.viscosity_tensor(rho_np1, mu_law)
     mass_residual, momentum_residual = coupled_residuals(
         prev, rho_np1, next_state.rho_dual, u_np1, next_state.p, mu_t, fluxes,
         forcing, dt, cfg.advection_scheme)

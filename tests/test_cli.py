@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,102 @@ class TestConfigParsing:
         assert info.value.path == "solver"
 
 
+_AXIS = {"n": 4, "lo": 0.0, "hi": 1.0}
+_STUDY = {"levels": [4, 6, 8], "dt_coarsest": 0.1, "t_end": 0.1}
+
+
+class TestDeclaredKeys:
+    """Every section rejects a key it does not declare, at its key path,
+    and a problem parameter must be a JSON number."""
+
+    @pytest.mark.parametrize("overrides, key_path", [
+        ({"outputs": {"vtk": False}}, "<root>.outputs"),
+        ({"mesh": {"axes": [_AXIS, _AXIS], "periodic": True}},
+         "mesh.periodic"),
+        ({"mesh": {"axes": [dict(_AXIS, strech=3.0), _AXIS]}},
+         "mesh.axes[0].strech"),
+        ({"mesh": {"axes": [_AXIS, {"breakpoints": [0.0, 0.5, 1.0], "n": 2}]}},
+         "mesh.axes[1].n"),
+        ({"problem": {"name": "quiescent", "parameters": {"rho": 2.0}}},
+         "problem.parameters"),
+        ({"problem": {"name": "mms_a", "params": {"rho0": 2.0}}},
+         "problem.params.rho0"),
+        ({"problem": {"name": "mms_b",
+                      "params": {"velocity_amplitde": 1.0}}},
+         "problem.params.velocity_amplitde"),
+        ({"problem": {"name": "rayleigh_taylor", "params": {"atwood": 0.5}}},
+         "problem.params.atwood"),
+        ({"problem": {"name": "quiescent", "params": {"density": 2.0}}},
+         "problem.params.density"),
+        ({"output": {"vtkk": False}}, "output.vtkk"),
+        ({"convergence": dict(_STUDY, refrence_n=8)},
+         "convergence.refrence_n"),
+        ({"problem": {"name": "mms_b", "params": {"gravity": True}}},
+         "problem.params.gravity"),
+        ({"problem": {"name": "mms_b", "params": {"gravity": "2.0"}}},
+         "problem.params.gravity"),
+    ], ids=["root", "mesh", "axis", "breakpoint_axis", "problem", "mms_a",
+            "mms_b", "rayleigh_taylor", "quiescent", "output", "convergence",
+            "bool_param", "string_param"])
+    def test_rejected_at_key_path(self, tmp_path, capsys, overrides,
+                                  key_path):
+        cfg = small_run_config(tmp_path, **overrides)
+        assert main(["run", "--config", cfg,
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        assert f"configuration error: {key_path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("law, key", [
+        ({"type": "constant", "value": 0.5, "a": 0.1}, "a"),
+        ({"type": "linear", "a": 0.1, "b": 0.05, "value": 0.5}, "value"),
+        ({"type": "table", "rho": [1.0, 2.0], "mu": [0.1, 0.2], "b": 0.05},
+         "b"),
+    ], ids=["constant", "linear", "table"])
+    def test_undeclared_mu_law_key(self, tmp_path, capsys, law, key):
+        cfg = small_run_config(tmp_path, problem={"name": "quiescent",
+                                                  "params": {"mu_law": law}})
+        assert main(["run", "--config", cfg,
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: problem: mu_law.{key}: unknown key" in err
+
+    def test_declared_defaults_fill_partial_sections(self, tmp_path):
+        setup = load_config(small_run_config(
+            tmp_path, output={"vtk": False},
+            convergence=dict(_STUDY, reference_n=None)))
+        assert setup.output == {"vtk": False, "staggered": True,
+                                "diagnostics": "diagnostics.csv",
+                                "snapshot_prefix": "snapshot",
+                                "dump_operators": False}
+        assert setup.convergence == dict(_STUDY, reference_n=None)
+
+
+class TestReadmeSchema:
+    """The configuration the README documents is the one the code reads."""
+
+    README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+
+    def test_documented_config_loads(self):
+        with open(self.README) as fh:
+            block = fh.read().split("```jsonc\n", 1)[1].split("```", 1)[0]
+        setup = load_config(json.loads(re.sub(r"//[^\n]*", "", block)))
+        assert setup.problem.name == "rayleigh_taylor"
+        assert setup.convergence is not None
+
+    def test_documented_problem_parameters(self):
+        from macflow.problems import _LAWS, _PROBLEMS
+        with open(self.README) as fh:
+            rows = {m.group(1): m.group(2) for m in re.finditer(
+                r"^\| `(\w+)` \| (.*) \|$", fh.read(), re.MULTILINE)}
+        for name, (_, spec) in _PROBLEMS.items():
+            documented = dict(re.findall(r"`(\w+)` \[([^]]+)\]", rows[name]))
+            assert documented == {key: repr(default) for key, (_, default)
+                                  in spec.items() if default is not None}
+            assert ("mu_law" in spec) == ("`mu_law`" in rows[name])
+        for kind, (_, keys) in _LAWS.items():
+            cells = rows[kind].split(" | ")[0]
+            assert re.findall(r"`(\w+)`", cells) == list(keys)
+
+
 class TestRunCommand:
     def test_quiescent_run_writes_outputs(self, tmp_path):
         cfg = small_run_config(tmp_path)
@@ -137,6 +234,22 @@ class TestRunCommand:
         assert main(["run", "--config", cfg,
                      "--output-dir", str(tmp_path / "o")]) == 2
         assert f"configuration error: {key_path}:" in capsys.readouterr().err
+
+    def test_flagged_violation_exit_code(self, tmp_path, monkeypatch, capsys):
+        from macflow import verification
+        real = verification.step_audit
+
+        def flagging(*args, **kwargs):
+            record = real(*args, **kwargs)
+            record.violations = ("divergence",)
+            return record
+
+        monkeypatch.setattr(verification, "step_audit", flagging)
+        cfg = small_run_config(tmp_path)
+        assert main(["run", "--config", cfg,
+                     "--output-dir", str(tmp_path / "o")]) == 3
+        assert ("flagged invariant violations: divergence"
+                in capsys.readouterr().err)
 
     def test_solver_failure_exit_code(self, tmp_path):
         cfg = small_run_config(
@@ -289,6 +402,14 @@ class TestConvergenceCommand:
             "convergence": {"levels": [4, 8], "dt_coarsest": 0.1,
                             "t_end": 0.2}})
         assert main(["convergence", "--config", path]) == 2
+
+    @pytest.mark.parametrize("levels", ["2", "0", "-1"])
+    def test_too_few_levels_flag_rejected(self, tmp_path, capsys, levels):
+        code = main(["convergence", "--config",
+                     os.path.join(CONFIGS, "mms-a.json"),
+                     "--output-dir", str(tmp_path), "--levels", levels])
+        assert code == 2
+        assert "configuration error: --levels:" in capsys.readouterr().err
 
     def test_small_study_runs(self, tmp_path):
         path = _write(tmp_path, {

@@ -42,6 +42,47 @@ class TestViscosityLaws:
             make_problem("mms_b", unit_square, {"mu_law": {"type": "cubic"}})
 
 
+class TestDeclaredParameters:
+    """A problem takes exactly its declared parameters; from code, omitted
+    ones take their declared defaults."""
+
+    def test_omitted_parameters_take_declared_defaults(self, unit_square):
+        x = np.linspace(0.1, 0.9, 7)
+        partial = make_problem("mms_b", unit_square, {"gravity": 2})
+        full = make_problem("mms_b", unit_square, {
+            "velocity_amplitude": 5.0, "gravity": 2.0, "mu_a": 0.1,
+            "mu_b": 0.05})
+        for u, v in zip(partial.u0, full.u0):
+            assert np.array_equal(u(x, x), v(x, x))
+        assert np.array_equal(partial.forcing[1](0.0, x, x),
+                              full.forcing[1](0.0, x, x))
+        assert np.array_equal(partial.mu_law(x), full.mu_law(x))
+
+    @pytest.mark.parametrize("name", ["mms_a", "mms_b", "rayleigh_taylor",
+                                      "quiescent"])
+    def test_undeclared_parameter_rejected(self, unit_square, name):
+        with pytest.raises(ValueError,
+                           match=r"problem\.params\.strech: unknown key"):
+            make_problem(name, unit_square, {"strech": 3.0})
+
+    @pytest.mark.parametrize("value", [True, "2.0", None, [2.0]])
+    def test_parameter_must_be_a_number(self, unit_square, value):
+        with pytest.raises(ValueError,
+                           match=r"problem\.params\.gravity: expected number"):
+            make_problem("mms_b", unit_square, {"gravity": value})
+
+    @pytest.mark.parametrize("law, message", [
+        ({"type": "constant"}, r"mu_law\.value: missing required key"),
+        ({"type": "linear", "a": 0.1, "b": True}, r"mu_law\.b: expected number"),
+        ({"type": "table", "rho": [1.0, "2"], "mu": [0.1, 0.2]},
+         r"mu_law\.rho\[1\]: expected number"),
+        ({"value": 1.0}, "unknown viscosity law type None"),
+    ])
+    def test_mu_law_keys_are_checked(self, unit_square, law, message):
+        with pytest.raises(ValueError, match=message):
+            make_problem("quiescent", unit_square, {"mu_law": law})
+
+
 class TestRegistry:
     def test_unknown_problem(self, unit_square):
         with pytest.raises(ValueError, match="unknown problem"):

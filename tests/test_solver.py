@@ -437,6 +437,45 @@ class TestTypedErrors:
             solver.momentum_solve(rho_dual, rho_dual, VelocityField.zero(mesh33),
                                   fluxes, mu_t, None, 0.05)
 
+    @staticmethod
+    def _momentum_system(mesh, rng):
+        rho = random_cells(mesh, rng, 1.0, 2.0)
+        mu_t = ops.viscosity_tensor(rho, lambda r: 0.1 + 0.1 * r)
+        fluxes = ops.mass_fluxes(rho, random_velocity(mesh, rng))
+        f = [rng.uniform(-1, 1, mesh.faces_shape(i)) for i in range(mesh.dim)]
+        return ops.dual_cell_density(rho), fluxes, mu_t, f
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_direct_answer_above_tolerance(self, mesh33, rng, dim):
+        # no Krylov answer meets 1e-30, so the last resort is a direct
+        # answer, which the final guard must reject rather than return
+        mesh = mesh33 if dim == 2 else build_mesh(
+            [AxisPartition.uniform(0, 1, 3)] * 3)
+        rho_dual, fluxes, mu_t, f = self._momentum_system(mesh, rng)
+        with pytest.raises(LinearSolveError) as info:
+            StepSolver(mesh).momentum_solve(
+                rho_dual, rho_dual, VelocityField.zero(mesh), fluxes, mu_t, f,
+                0.05, linear_tol=1e-30)
+        assert np.isfinite(info.value.residual)
+        assert info.value.residual > 1e-30
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_non_finite_answer_reads_as_infinite_residual(self, mesh33, rng,
+                                                          monkeypatch, dim):
+        class NanLU:
+            def solve(self, rhs):
+                return np.full(rhs.shape, np.nan)
+
+        mesh = mesh33 if dim == 2 else build_mesh(
+            [AxisPartition.uniform(0, 1, 3)] * 3)
+        solver = StepSolver(mesh)
+        rho_dual, fluxes, mu_t, f = self._momentum_system(mesh, rng)
+        monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: NanLU())
+        with pytest.raises(LinearSolveError) as info:
+            solver.momentum_solve(rho_dual, rho_dual, VelocityField.zero(mesh),
+                                  fluxes, mu_t, f, 0.05)
+        assert info.value.residual == np.inf
+
     def test_run_names_failing_step(self, monkeypatch):
         mesh = build_mesh([AxisPartition.uniform(0, 1, 4)] * 2)
         problem = make_problem("mms_b", mesh)

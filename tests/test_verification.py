@@ -96,6 +96,55 @@ class TestStepAudit:
         rec = step_audit(state, next_state, cfg, mu_law=problem.mu_law, step=1)
         assert "mass_conservation" in rec.violations
 
+    @staticmethod
+    def _tampered_audit(mesh, rho=None, u=None, **solver):
+        """Violations ``step_audit`` flags from the quiescent initial state
+        to a next state whose density values or velocity are replaced."""
+        from macflow.solver import TimeState
+        problem = make_problem("quiescent", mesh)
+        cfg = SolverConfig(dt=0.1, t_end=0.1, **solver)
+        state = initial_state(mesh, problem.rho0, problem.u0)
+        rho = state.rho if rho is None else CellScalarField(mesh, rho)
+        next_state = TimeState(cfg.dt, rho, state.u if u is None else u,
+                               state.p, ops.dual_cell_density(rho),
+                               rho_bounds=state.rho_bounds)
+        return step_audit(state, next_state, cfg, problem.mu_law,
+                          step=1).violations
+
+    @staticmethod
+    def _one_face_velocity(mesh):
+        comps = [np.zeros(mesh.faces_shape(i)) for i in range(mesh.dim)]
+        comps[0][3, 3] = 1e-3
+        return VelocityField.from_interior(mesh, comps)
+
+    def test_untampered_state_is_clean(self, mesh8):
+        assert self._tampered_audit(mesh8) == ()
+
+    def test_audit_catches_maximum_principle_violation(self, mesh8):
+        # above the audit's 1e-12 slack, inside the 1e-10 that TimeState
+        # tolerates, so that the state can be built at all
+        problem = make_problem("quiescent", mesh8)
+        state = initial_state(mesh8, problem.rho0, problem.u0)
+        rho = state.rho.values.copy()
+        rho[5] = state.rho_bounds[1] * (1.0 + 1e-11)
+        assert "maximum_principle" in self._tampered_audit(mesh8, rho=rho)
+        rho[5] = state.rho_bounds[0] * (1.0 - 1e-11)
+        assert "maximum_principle" in self._tampered_audit(mesh8, rho=rho)
+
+    def test_audit_catches_divergence(self, mesh8):
+        u = self._one_face_velocity(mesh8)
+        assert "divergence" in self._tampered_audit(mesh8, u=u)
+
+    @pytest.mark.parametrize("scheme, flag", [
+        ("centered", "kinetic_energy_identity"),
+        ("upwind", "kinetic_energy_inequality")])
+    def test_audit_catches_energy_gain(self, mesh8, scheme, flag):
+        # kinetic energy out of a fluid at rest, with no forcing to supply it
+        u = self._one_face_velocity(mesh8)
+        violations = self._tampered_audit(mesh8, u=u, advection_scheme=scheme)
+        other = {"kinetic_energy_identity", "kinetic_energy_inequality"} - {flag}
+        assert flag in violations and other.isdisjoint(violations)
+
     def test_record_rejects_non_finite(self):
         with pytest.raises(ValueError):
             DiagnosticsRecord(
