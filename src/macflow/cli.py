@@ -44,7 +44,7 @@ def build_parser():
     p_conv = sub.add_parser("convergence", help="refinement study")
     _add_common(p_conv)
     p_conv.add_argument("--levels", type=int, default=None,
-                        help="use only the first K >= 3 configured levels")
+                        help="run only the first K configured levels (K >= 3)")
 
     p_ver = sub.add_parser("verify", help="run the identity/inequality suites")
     _add_common(p_ver)
@@ -118,12 +118,14 @@ def _cmd_run(args):
 
 
 def _cmd_convergence(args):
-    if args.levels is not None and args.levels < 3:
-        raise ConfigError("--levels", "a study needs at least 3 levels")
     setup = load_config(args.config)
     levels = None
     if args.levels is not None and setup.convergence is not None:
-        levels = setup.convergence["levels"][:args.levels]
+        levels = setup.convergence["levels"]
+        if not 3 <= args.levels <= len(levels):
+            raise ConfigError("--levels", "a study runs from 3 to the "
+                              f"{len(levels)} configured levels")
+        levels = levels[:args.levels]
     os.makedirs(args.output_dir, exist_ok=True)
     try:
         table = convergence_study(setup, levels,

@@ -8,7 +8,8 @@ geometrically to ``stretch`` times the first.  ``solver`` takes the fields
 of :class:`~macflow.solver.SolverConfig`, and each problem declares its
 ``params`` beside its factory in :mod:`macflow.problems`.
 :func:`~macflow.convergence.convergence_study` runs each level as this
-config with its cell counts and time step changed.
+config with its cell counts and time step changed; a config that loads
+has a ``convergence`` section it can run (:func:`_check_study`).
 """
 
 import dataclasses
@@ -113,7 +114,22 @@ def load_config(path_or_dict):
     if convergence is not None:
         convergence = parse_section(convergence, SCHEMA["convergence"],
                                     "convergence")
-        if len(convergence["levels"]) < 3:
-            raise ConfigError("convergence.levels",
-                              "a study needs at least 3 levels")
+        _check_study(convergence, root["mesh"]["axes"], problem)
     return RunSetup(mesh, problem, solver, output, convergence, raw)
+
+
+def _check_study(convergence, axes, problem):
+    """A study of ``problem`` that ``convergence_study`` can run as given."""
+    if len(convergence["levels"]) < 3:
+        raise ConfigError("convergence.levels",
+                          "a study needs at least 3 levels")
+    for k, axis in enumerate(axes):
+        if "breakpoints" in axis:
+            raise ConfigError(f"mesh.axes[{k}]",
+                              "an axis given by breakpoints cannot be refined")
+    if (problem.exact is None) == (convergence["reference_n"] is None):
+        reason = ("has no analytic solution; a reference level is required"
+                  if problem.exact is None else "is measured against its "
+                  "analytic solution; a reference level would go unused")
+        raise ConfigError("convergence.reference_n",
+                          f"problem {problem.name!r} {reason}")

@@ -142,8 +142,8 @@ def convergence_study(setup, levels=None, progress=None) -> ConvergenceTable:
     ``load_config`` of ``setup.raw`` with n cells on every axis (bounds,
     stretch and dimension kept) and dt proportional to h.  ``levels``
     defaults to ``convergence.levels``.  Errors are against the analytic
-    solution when the problem has one, else against a ``reference_n`` run;
-    ``reference_n`` is ignored, and that level not run, in the first case."""
+    solution when the problem has one, else against a ``reference_n`` run
+    (``load_config`` has checked that exactly one of the two is there)."""
     conv = setup.convergence
     if conv is None:
         raise ConfigError("convergence", "config has no convergence section")
@@ -151,17 +151,7 @@ def convergence_study(setup, levels=None, progress=None) -> ConvergenceTable:
     if len(levels) < 3:
         raise ConfigError("convergence.levels",
                           "a study needs at least 3 levels")
-    for k, axis in enumerate(setup.raw["mesh"]["axes"]):
-        if "breakpoints" in axis:
-            raise ConfigError(f"mesh.axes[{k}]",
-                              "an axis given by breakpoints cannot be refined")
-    name = setup.problem.name
-    # with an analytic solution the reference level would go unused
-    reference_n = conv["reference_n"] if setup.problem.exact is None else None
-    if setup.problem.exact is None and reference_n is None:
-        raise ConfigError("convergence.reference_n",
-                          f"problem {name!r} has no analytic solution; "
-                          "a reference level is required")
+    reference_n = conv["reference_n"]
     t_end = conv["t_end"]
     flags = []
 
@@ -204,13 +194,10 @@ def convergence_study(setup, levels=None, progress=None) -> ConvergenceTable:
     hs = [row.h for row in rows]
     orders = {}
     for key in ("u", "p", "rho"):
-        errs = [row.errors[key] for row in rows]
-        order = fit_order(hs, errs)
-        orders[key] = order
+        orders[key] = order = fit_order(hs, [row.errors[key] for row in rows])
         if order is None:
-            if np.unique(hs).size < len(hs):
-                flags.append(f"order[{key}] undefined: repeated mesh size")
-            else:
-                flags.append(f"order[{key}] undefined: errors at roundoff floor")
-    return ConvergenceTable(problem=name, levels=rows, orders=orders,
-                            flags=flags, reference_n=reference_n)
+            reason = ("repeated mesh size" if np.unique(hs).size < len(hs)
+                      else "errors at roundoff floor")
+            flags.append(f"order[{key}] undefined: {reason}")
+    return ConvergenceTable(problem=setup.problem.name, levels=rows,
+                            orders=orders, flags=flags, reference_n=reference_n)

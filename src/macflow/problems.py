@@ -133,13 +133,11 @@ _LAWS = {
 }
 
 
-def viscosity_from_params(params, default):
+def viscosity_from_params(params):
     """Viscosity law selected by the ``mu_law`` problem parameter, an object
     whose ``type`` names a law of ``_LAWS`` and whose other keys are exactly
-    that law's arguments; ``default`` when the parameter is absent."""
+    that law's arguments."""
     spec = params["mu_law"]
-    if spec is None:
-        return default
     kind = spec.get("type")
     if not isinstance(kind, str) or kind not in _LAWS:
         raise ValueError(f"unknown viscosity law type {kind!r}; available: "
@@ -192,16 +190,18 @@ def _require_unit_square(mesh, name):
         raise ValueError(f"problem {name!r} is defined on the unit square")
 
 
-@_problem("mms_a", rho=(float, 1.0), mu=(float, 0.1), mu_law=(dict, None))
+@_problem("mms_a", rho=(float, 1.0),
+          mu_law=(dict, {"type": "constant", "value": 0.1}))
 def _mms_a(mesh, params):
     """Constant density, stream-function velocity with double zeros on the
     boundary, smooth pressure; the forcing is the closed-form residual of the
     momentum equation."""
     _require_unit_square(mesh, "mms_a")
-    if params["mu_law"] is not None:
+    if params["mu_law"].get("type") != "constant":
         raise ValueError("mms_a derives its forcing for a constant viscosity; "
-                         "set the 'mu' parameter instead of 'mu_law'")
-    rho0_val, mu_val = params["rho"], params["mu"]
+                         "give 'mu_law' the type 'constant'")
+    mu_law = viscosity_from_params(params)
+    rho0_val, mu_val = params["rho"], float(params["mu_law"]["value"])
     pi = math.pi
 
     def u1(t, x, y):
@@ -234,7 +234,7 @@ def _mms_a(mesh, params):
         mesh=mesh,
         rho0=lambda x, y: np.full_like(np.asarray(x, dtype=float), rho0_val),
         u0=(lambda x, y: u1(0.0, x, y), lambda x, y: u2(0.0, x, y)),
-        mu_law=constant_viscosity(mu_val),
+        mu_law=mu_law,
         forcing=(f1, f2),
         exact=ExactSolution(
             u=(u1, u2),
@@ -245,15 +245,13 @@ def _mms_a(mesh, params):
 
 
 @_problem("mms_b", velocity_amplitude=(float, 5.0), gravity=(float, 2.0),
-          mu_a=(float, 0.1), mu_b=(float, 0.05), mu_law=(dict, None))
+          mu_law=(dict, {"type": "linear", "a": 0.1, "b": 0.05}))
 def _mms_b(mesh, params):
     """Smooth variable density stirred by a decaying vortex under frozen
     buoyancy; no analytic solution, accuracy is judged against a fine-grid
     run."""
     _require_unit_square(mesh, "mms_b")
     amp, grav = params["velocity_amplitude"], params["gravity"]
-    mu_law = viscosity_from_params(params, linear_viscosity(params["mu_a"],
-                                                            params["mu_b"]))
     two_pi = 2.0 * math.pi
 
     def rho0(x, y):
@@ -276,7 +274,7 @@ def _mms_b(mesh, params):
         mesh=mesh,
         rho0=rho0,
         u0=(u1, u2),
-        mu_law=mu_law,
+        mu_law=viscosity_from_params(params),
         forcing=(f1, f2) if grav != 0.0 else None,
         time_independent_forcing=True,
     )
@@ -284,8 +282,8 @@ def _mms_b(mesh, params):
 
 @_problem("rayleigh_taylor", rho_light=(float, 1.0), rho_heavy=(float, 3.0),
           amplitude=(float, 0.05), interface_width=(float, 0.02),
-          gravity=(float, 1.0), perturbation=(float, 0.0), mu_a=(float, 0.1),
-          mu_b=(float, 0.05), mu_law=(dict, None))
+          gravity=(float, 1.0), perturbation=(float, 0.0),
+          mu_law=(dict, {"type": "linear", "a": 0.1, "b": 0.05}))
 def _rayleigh_taylor(mesh, params):
     """Heavy-over-light layering with a cosine interface and gravity acting
     on the frozen initial density; optionally seeded with a small solenoidal
@@ -298,8 +296,6 @@ def _rayleigh_taylor(mesh, params):
     amplitude = params["amplitude"] * ly
     width = params["interface_width"] * ly
     gravity, eps = params["gravity"], params["perturbation"]
-    mu_law = viscosity_from_params(params, linear_viscosity(params["mu_a"],
-                                                            params["mu_b"]))
     y_mid = lo[1] + 0.5 * ly
     if rho_light <= 0.0 or rho_heavy <= rho_light:
         raise ValueError("need 0 < rho_light < rho_heavy")
@@ -328,23 +324,23 @@ def _rayleigh_taylor(mesh, params):
         mesh=mesh,
         rho0=rho0,
         u0=(u1, u2),
-        mu_law=mu_law,
+        mu_law=viscosity_from_params(params),
         forcing=(f1, f2) if gravity != 0.0 else None,
         time_independent_forcing=True,
     )
 
 
-@_problem("quiescent", rho=(float, 1.0), mu=(float, 1.0), mu_law=(dict, None))
+@_problem("quiescent", rho=(float, 1.0),
+          mu_law=(dict, {"type": "constant", "value": 1.0}))
 def _quiescent(mesh, params):
     rho_val = params["rho"]
-    mu_law = viscosity_from_params(params, constant_viscosity(params["mu"]))
     zero = lambda *X: np.zeros_like(np.asarray(X[0], dtype=float))
     return Problem(
         name="quiescent",
         mesh=mesh,
         rho0=lambda *X: np.full_like(np.asarray(X[0], dtype=float), rho_val),
         u0=tuple([zero] * mesh.dim),
-        mu_law=mu_law,
+        mu_law=viscosity_from_params(params),
         exact=ExactSolution(
             u=tuple([lambda t, *X: np.zeros_like(np.asarray(X[0], dtype=float))]
                     * mesh.dim),

@@ -218,7 +218,6 @@ class StepStats:
     iterations: int = 0
     mass_residual: float = float("nan")
     momentum_residual: float = float("nan")
-    linear_residual: float = float("nan")
     factorizations: int = 0        # SuperLU factorizations
     krylov_iterations: int = 0     # GMRES and BiCGSTAB iterations
 
@@ -649,7 +648,7 @@ def _picard_step(state, cfg, mu_law, f_faces, solver, stats):
         mu_t = ops.viscosity_tensor(rho_new, mu_law)
         fluxes = ops.mass_fluxes(rho_new, u_iter)
         rho_dual_new = ops.dual_cell_density(rho_new)
-        u_new, p_new, stats.linear_residual = solver.momentum_solve(
+        u_new, p_new, _ = solver.momentum_solve(
             rho_dual_new, state.rho_dual, state.u, fluxes, mu_t, f_faces, dt,
             cfg.advection_scheme, cfg.linear_tol, stats)
         # nonlinear residuals of the coupled system at the updated iterate

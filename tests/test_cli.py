@@ -160,6 +160,42 @@ class TestDeclaredKeys:
         assert setup.convergence == dict(_STUDY, reference_n=None)
 
 
+class TestOneSourcePerSetting:
+    """Viscosity is set only by ``mu_law``, and a convergence section that
+    loads is one ``macflow convergence`` can run."""
+
+    @pytest.mark.parametrize("name, key", [
+        ("mms_a", "mu"), ("mms_b", "mu_a"), ("mms_b", "mu_b"),
+        ("rayleigh_taylor", "mu_a"), ("rayleigh_taylor", "mu_b"),
+        ("quiescent", "mu")])
+    def test_removed_viscosity_parameter(self, tmp_path, capsys, name, key):
+        cfg = small_run_config(tmp_path, problem={"name": name,
+                                                  "params": {key: 0.1}})
+        assert main(["run", "--config", cfg,
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        assert (f"configuration error: problem.params.{key}: unknown key"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("overrides, key_path", [
+        ({"problem": {"name": "mms_a"},
+          "convergence": dict(_STUDY, reference_n=12)},
+         "convergence.reference_n"),
+        ({"problem": {"name": "mms_b"}, "convergence": _STUDY},
+         "convergence.reference_n"),
+        ({"mesh": {"axes": [_AXIS, {"breakpoints": [0.0, 0.3, 1.0]}]},
+          "convergence": _STUDY}, "mesh.axes[1]"),
+    ], ids=["reference_n_with_exact", "no_reference_n", "breakpoint_axis"])
+    def test_study_checked_at_load(self, tmp_path, capsys, overrides,
+                                   key_path):
+        cfg = small_run_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg)
+        assert info.value.path == key_path
+        assert main(["run", "--config", cfg,
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        assert f"configuration error: {key_path}:" in capsys.readouterr().err
+
+
 class TestReadmeSchema:
     """The configuration the README documents is the one the code reads."""
 
@@ -410,6 +446,15 @@ class TestConvergenceCommand:
                      "--output-dir", str(tmp_path), "--levels", levels])
         assert code == 2
         assert "configuration error: --levels:" in capsys.readouterr().err
+
+    def test_too_many_levels_flag_rejected(self, tmp_path, capsys):
+        code = main(["convergence", "--config",
+                     os.path.join(CONFIGS, "mms-a.json"),
+                     "--output-dir", str(tmp_path), "--levels", "10"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error: --levels:" in err
+        assert "4 configured levels" in err
 
     def test_small_study_runs(self, tmp_path):
         path = _write(tmp_path, {

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from macflow.config import load_config
+from macflow.config import ConfigError, load_config
 from macflow.convergence import (cell_field_difference, convergence_study,
                                  fit_order, velocity_difference)
 from macflow.mesh import AxisPartition, build_mesh
@@ -96,15 +96,7 @@ class TestStudyDriver:
         assert any("repeated mesh size" in f for f in table.flags)
         assert "undefined" in table.format()
 
-    def test_reference_level_unused_with_exact_solution(self):
-        lines = []
-        table = convergence_study(study_setup("mms_a", [4, 6, 8],
-                                              reference_n=12),
-                                  progress=lines.append)
-        plain = convergence_study(study_setup("mms_a", [4, 6, 8]))
-        assert [line.split(":")[0] for line in lines] == [
-            "level 4x4", "level 6x6", "level 8x8"]
-        assert table.reference_n is None
-        assert "reference" not in table.format()
-        assert [row.errors for row in table.levels] == \
-            [row.errors for row in plain.levels]
+    def test_reference_level_rejected_with_exact_solution(self):
+        with pytest.raises(ConfigError) as info:
+            study_setup("mms_a", [4, 6, 8], reference_n=12)
+        assert info.value.path == "convergence.reference_n"

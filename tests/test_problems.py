@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from macflow.mesh import AxisPartition, build_mesh
-from macflow.problems import (constant_viscosity, linear_viscosity,
-                              make_problem, table_viscosity)
+from macflow.problems import (_PROBLEMS, constant_viscosity,
+                              linear_viscosity, make_problem, table_viscosity,
+                              viscosity_from_params)
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +36,9 @@ class TestViscosityLaws:
             "mms_b", unit_square,
             {"mu_law": {"type": "table", "rho": [1.0, 2.0], "mu": [0.1, 0.3]}})
         assert problem.mu_law(np.array([1.5]))[0] == pytest.approx(0.2)
-        with pytest.raises(ValueError, match="constant viscosity"):
-            make_problem("mms_a", unit_square,
-                         {"mu_law": {"type": "constant", "value": 1.0}})
+        problem = make_problem("mms_a", unit_square,
+                               {"mu_law": {"type": "constant", "value": 1.0}})
+        assert problem.mu_law(np.array([1.5]))[0] == 1.0
         with pytest.raises(ValueError, match="unknown viscosity law"):
             make_problem("mms_b", unit_square, {"mu_law": {"type": "cubic"}})
 
@@ -50,8 +51,8 @@ class TestDeclaredParameters:
         x = np.linspace(0.1, 0.9, 7)
         partial = make_problem("mms_b", unit_square, {"gravity": 2})
         full = make_problem("mms_b", unit_square, {
-            "velocity_amplitude": 5.0, "gravity": 2.0, "mu_a": 0.1,
-            "mu_b": 0.05})
+            "velocity_amplitude": 5.0, "gravity": 2.0,
+            "mu_law": {"type": "linear", "a": 0.1, "b": 0.05}})
         for u, v in zip(partial.u0, full.u0):
             assert np.array_equal(u(x, x), v(x, x))
         assert np.array_equal(partial.forcing[1](0.0, x, x),
@@ -81,6 +82,37 @@ class TestDeclaredParameters:
     def test_mu_law_keys_are_checked(self, unit_square, law, message):
         with pytest.raises(ValueError, match=message):
             make_problem("quiescent", unit_square, {"mu_law": law})
+
+
+class TestViscosityParameter:
+    """``mu_law`` is each problem's one viscosity parameter, and its declared
+    default is the law the problem used before it was the only one."""
+
+    @pytest.mark.parametrize("name, law", [
+        ("mms_a", constant_viscosity(0.1)),
+        ("mms_b", linear_viscosity(0.1, 0.05)),
+        ("rayleigh_taylor", linear_viscosity(0.1, 0.05)),
+        ("quiescent", constant_viscosity(1.0)),
+    ], ids=["mms_a", "mms_b", "rayleigh_taylor", "quiescent"])
+    def test_default_law(self, unit_square, name, law):
+        rho = np.random.default_rng(5).uniform(0.5, 4.0, 64)
+        declared = _PROBLEMS[name][1]["mu_law"][1]
+        assert np.array_equal(
+            viscosity_from_params({"mu_law": declared})(rho), law(rho))
+        assert np.array_equal(make_problem(name, unit_square).mu_law(rho),
+                              law(rho))
+
+    @pytest.mark.parametrize("name", ["mms_a", "mms_b", "rayleigh_taylor",
+                                      "quiescent"])
+    def test_null_law_is_a_type_error(self, unit_square, name):
+        with pytest.raises(ValueError,
+                           match=r"problem\.params\.mu_law: expected dict"):
+            make_problem(name, unit_square, {"mu_law": None})
+
+    def test_mms_a_takes_only_a_constant_law(self, unit_square):
+        with pytest.raises(ValueError, match="constant viscosity"):
+            make_problem("mms_a", unit_square,
+                         {"mu_law": {"type": "linear", "a": 0.1, "b": 0.05}})
 
 
 class TestRegistry:
@@ -123,7 +155,8 @@ class TestManufacturedSolutionA:
 
     def setup_method(self):
         mesh = build_mesh([AxisPartition.uniform(0, 1, 4)] * 2)
-        self.problem = make_problem("mms_a", mesh, {"rho": 1.0, "mu": 0.1})
+        self.problem = make_problem("mms_a", mesh, {
+            "rho": 1.0, "mu_law": {"type": "constant", "value": 0.1}})
         rng = np.random.default_rng(7)
         self.pts = rng.uniform(0.2, 0.8, size=(40, 2))
         self.t = 0.37
@@ -161,6 +194,18 @@ class TestManufacturedSolutionA:
             expected = rho * (dudt + conv) - 0.5 * mu * lap + gradp
             got = f_closed(t, x, y)
             assert np.max(np.abs(got - expected)) <= 1e-7
+
+    def test_constant_law_value_reaches_forcing(self):
+        """Only the viscous term -mu/2 lap u of the forcing depends on mu."""
+        other = make_problem("mms_a", self.problem.mesh,
+                             {"mu_law": {"type": "constant", "value": 0.7}})
+        assert np.all(other.mu_law(np.array([1.0, 2.0])) == 0.7)
+        x, y = self.pts[:, 0], self.pts[:, 1]
+        for comp in range(2):
+            lap = _fd_lap(self.problem.exact.u[comp], self.t, x, y)
+            diff = (other.forcing[comp](self.t, x, y)
+                    - self.problem.forcing[comp](self.t, x, y))
+            assert np.max(np.abs(diff + 0.5 * (0.7 - 0.1) * lap)) <= 1e-7
 
     def test_pressure_mean_zero_analytically(self):
         # int sin(pi x) cos(pi y) over the unit square vanishes
