@@ -97,7 +97,7 @@ def _cmd_run(args):
     print(f"completed {len(result.records)} steps to t={result.final_state.t:g}; "
           f"diagnostics in {diag_path}")
     from .verification import velocity_estimate_bounds
-    est = velocity_estimate_bounds(result, setup.mesh, setup.problem.mu_law)
+    est = velocity_estimate_bounds(result, setup.problem.mu_law)
     print("a-priori velocity estimates: "
           f"L-inf(L2) {est['linf_l2_lhs']:.4e} <= {est['linf_l2_bound']:.4e} "
           f"({'ok' if est['linf_l2_satisfied'] else 'VIOLATED'}); "

@@ -6,9 +6,13 @@ velocity (with homogeneous Dirichlet values stored as exact zeros on exterior
 faces), and scalars on the dual-dual cells of an ordered direction pair
 (gradients, strain components, face viscosities).
 
-Projections of continuous data use tensor-product Gauss-Legendre quadrature;
-``order`` is the number of points per axis, so polynomials up to degree
-``2*order - 1`` are averaged exactly.
+Integration over the MAC partitions lives here.  One tensor-product
+Gauss-Legendre averaging routine gives cell means, velocity control-volume
+means and Fortin face means (``project_cell``, ``project_face``), and its
+rule on [0, 1] is the forcing's time-slab average; ``order`` is the number of
+points per axis, so polynomials up to degree ``2*order - 1`` are averaged
+exactly.  The discrete norms and the velocity inner product below are the
+ones every other module uses.
 """
 
 import numpy as np
@@ -141,34 +145,32 @@ def _sample(fn, grids):
     return samples
 
 
-def _contract(samples, shape, qpos, weights):
-    """Reshape to ``shape`` and contract the quadrature axes listed in
-    ``qpos`` (descending order keeps the positions valid)."""
-    samples = samples.reshape(shape)
-    for pos in sorted(qpos, reverse=True):
+def _partition_average(axes, fn, order):
+    """Means of ``fn`` over an axis-product partition, one ``(breakpoints,
+    averaged)`` pair per axis: an averaged axis is Gauss-averaged over each
+    interval between its breakpoints, a sampled axis is evaluated at each
+    breakpoint.  Returns the array of means in C order."""
+    nodes, weights = _gauss01(order)
+    pts, shape, qpos = [], [], []
+    for breaks, averaged in axes:
+        if averaged:
+            pts.append(_axis_points(breaks, nodes))
+            qpos.append(len(shape) + 1)
+            shape.extend([breaks.size - 1, nodes.size])
+        else:
+            pts.append(breaks)
+            shape.append(breaks.size)
+    samples = _sample(fn, np.meshgrid(*pts, indexing="ij")).reshape(shape)
+    # descending order keeps the remaining positions valid
+    for pos in reversed(qpos):
         samples = np.tensordot(samples, weights, axes=([pos], [0]))
     return samples
-
-
-def _box_average(axis_breaks, fn, order):
-    """Average of ``fn`` over every box of the axis-product partition given by
-    ``axis_breaks`` (one breakpoint array per axis). Returns the array of box
-    averages in C order."""
-    nodes, weights = _gauss01(order)
-    pts = [_axis_points(b, nodes) for b in axis_breaks]
-    grids = np.meshgrid(*pts, indexing="ij")
-    samples = _sample(fn, grids)
-    shape, qpos = [], []
-    for b in axis_breaks:
-        qpos.append(len(shape) + 1)
-        shape.extend([b.size - 1, nodes.size])
-    return _contract(samples, shape, qpos, weights)
 
 
 def project_cell(mesh: MacMesh, fn, order=5) -> CellScalarField:
     """Cell averages of an integrable scalar ``fn(x0, .., x_{d-1})`` (numpy
     broadcasting callable)."""
-    avg = _box_average(mesh.breaks, fn, order)
+    avg = _partition_average([(b, True) for b in mesh.breaks], fn, order)
     return CellScalarField(mesh, avg.ravel())
 
 
@@ -182,33 +184,16 @@ def project_face(mesh: MacMesh, fns, variant="dual", order=5) -> VelocityField:
     """
     if len(fns) != mesh.dim:
         raise FieldError(f"need {mesh.dim} component callables")
+    if variant not in ("dual", "fortin"):
+        raise ValueError(f"unknown projection variant {variant!r}")
     comps = []
-    nodes, weights = _gauss01(order)
     for i, fn in enumerate(fns):
         if variant == "dual":
-            axis_breaks = [
-                mesh.dual_breaks[a] if a == i else mesh.breaks[a]
-                for a in range(mesh.dim)
-            ]
-            vals = _box_average(axis_breaks, fn, order)
-        elif variant == "fortin":
-            pts = [
-                mesh.breaks[a] if a == i else _axis_points(mesh.breaks[a], nodes)
-                for a in range(mesh.dim)
-            ]
-            grids = np.meshgrid(*pts, indexing="ij")
-            samples = _sample(fn, grids)
-            shape, qpos = [], []
-            for a in range(mesh.dim):
-                if a == i:
-                    shape.append(mesh.n[a] + 1)
-                else:
-                    qpos.append(len(shape) + 1)
-                    shape.extend([mesh.n[a], nodes.size])
-            vals = _contract(samples, shape, qpos, weights)
+            axes = [(mesh.dual_breaks[a] if a == i else mesh.breaks[a], True)
+                    for a in range(mesh.dim)]
         else:
-            raise ValueError(f"unknown projection variant {variant!r}")
-        arr = vals.reshape(mesh.faces_shape(i)).copy()
+            axes = [(mesh.breaks[a], a != i) for a in range(mesh.dim)]
+        arr = _partition_average(axes, fn, order).reshape(mesh.faces_shape(i))
         arr[~mesh.interior_mask(i)] = 0.0
         comps.append(arr.ravel())
     return VelocityField(mesh, comps)
@@ -299,6 +284,12 @@ def norm_lp(field, p) -> float:
         vols, vals = field.mesh.pair_volumes(*field.pair).ravel(), field.values
     else:
         raise TypeError(f"no Lp norm for {type(field).__name__}")
+    return _lp(vols, vals, p)
+
+
+def _lp(vols, vals, p):
+    """Lp norm of the piecewise-constant function taking ``vals`` on cells of
+    measures ``vols``."""
     if np.isinf(p):
         return float(np.max(np.abs(vals))) if vals.size else 0.0
     return float(np.dot(vols, np.abs(vals) ** p) ** (1.0 / p))

@@ -39,7 +39,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fields import (CellScalarField, DualGridField, VelocityField,
-                     _face_from_cells, _neighbours, reconstruct_cell_to_face)
+                     _face_from_cells, _neighbours, reconstruct_cell_to_face,
+                     velocity_inner)
 from .mesh import MacMesh, _axis_view, _slab
 
 __all__ = [
@@ -406,12 +407,7 @@ def convection_apply(fluxes: MassFluxSet, v: VelocityField,
 def trilinear_form(fluxes: MassFluxSet, v: VelocityField, w: VelocityField,
                    scheme="centered") -> float:
     """b(rho u, v, w) evaluated through the convection operator."""
-    cv = convection_apply(fluxes, v, scheme)
-    total = 0.0
-    for i in range(fluxes.mesh.dim):
-        total += float(np.dot(fluxes.mesh.dual_volumes(i).ravel()
-                              * cv.components[i], w.components[i]))
-    return total
+    return velocity_inner(convection_apply(fluxes, v, scheme), w)
 
 
 def trilinear_form_reconstructed(fluxes: MassFluxSet, v: VelocityField,

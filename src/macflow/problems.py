@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import project_face
+from .fields import (CellScalarField, VelocityField, _gauss01, norm_l2,
+                     project_face)
 from .mesh import MacMesh
 from .schema import REQUIRED, ConfigError, parse_section
 
@@ -73,17 +74,17 @@ class Problem:
     time_independent_forcing: bool = False
     exact: ExactSolution | None = None
 
-    def forcing_faces(self, mesh, t, cfg):
-        """Dual-cell mean projection of the forcing at the new time level, or
-        its Gauss average over the time slab, as ``cfg.forcing_time`` says."""
+    def forcing_faces(self, t, cfg):
+        """Dual-cell mean projection of the forcing at time ``t``, the end of
+        the step, or its 3-point Gauss average over the step ``(t - dt, t]``,
+        as ``cfg.forcing_time`` says."""
         if self.forcing is None:
             return None
         if cfg.forcing_time == "endpoint":
             fns = [(lambda *X, _f=f: _f(t, *X)) for f in self.forcing]
         else:
-            nodes, weights = np.polynomial.legendre.leggauss(3)
-            times = t - cfg.dt + 0.5 * (nodes + 1.0) * cfg.dt
-            tw = 0.5 * weights
+            nodes, tw = _gauss01(3)
+            times = t - cfg.dt + nodes * cfg.dt
 
             def make(fc):
                 def averaged(*X):
@@ -94,8 +95,9 @@ class Problem:
                 return averaged
 
             fns = [make(f) for f in self.forcing]
-        proj = project_face(mesh, fns, variant="dual", order=cfg.quadrature_order)
-        return [proj.shaped(i).copy() for i in range(mesh.dim)]
+        proj = project_face(self.mesh, fns, variant="dual",
+                            order=cfg.quadrature_order)
+        return [proj.shaped(i).copy() for i in range(self.mesh.dim)]
 
     def errors_vs_exact(self, state):
         """Weighted L2 errors of a state against the analytic solution; the
@@ -104,24 +106,22 @@ class Problem:
             return None
         mesh = self.mesh
         t = state.t
-        err_u_sq = 0.0
+        diffs = []
         for i in range(mesh.dim):
             centers = mesh.face_centers(i)
             exact = np.asarray(self.exact.u[i](t, *[centers[:, a] for a in
                                                     range(mesh.dim)]))
             exact = np.where(mesh.interior_mask(i).ravel(), exact, 0.0)
-            diff = state.u.components[i] - exact
-            err_u_sq += float(np.dot(mesh.dual_volumes(i).ravel(), diff ** 2))
+            diffs.append(state.u.components[i] - exact)
         centers = mesh.cell_centers()
         coords = [centers[:, a] for a in range(mesh.dim)]
         vols = mesh.cell_volumes.ravel()
         p_ex = np.asarray(self.exact.p(t, *coords), dtype=float)
         p_ex = p_ex - np.dot(vols, p_ex) / mesh.domain_measure
-        err_p = math.sqrt(float(np.dot(vols, (state.p.values - p_ex) ** 2)))
-        rho_ex = np.broadcast_to(
-            np.asarray(self.exact.rho(t, *coords), dtype=float), vols.shape)
-        err_rho = math.sqrt(float(np.dot(vols, (state.rho.values - rho_ex) ** 2)))
-        return {"u": math.sqrt(err_u_sq), "p": err_p, "rho": err_rho}
+        rho_ex = np.asarray(self.exact.rho(t, *coords), dtype=float)
+        return {"u": norm_l2(VelocityField(mesh, diffs)),
+                "p": norm_l2(CellScalarField(mesh, state.p.values - p_ex)),
+                "rho": norm_l2(CellScalarField(mesh, state.rho.values - rho_ex))}
 
 
 _LAWS = {

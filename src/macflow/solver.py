@@ -733,8 +733,7 @@ def run_simulation(problem, cfg: SolverConfig, diagnostics_sink=None,
     h1_sq_sum = 0.0
     f_sq_sum = 0.0
     initial_u = norm_l2(state.u)
-    initial_rho = float(np.sqrt(np.dot(mesh.cell_volumes.ravel(),
-                                       state.rho.values ** 2)))
+    initial_rho = norm_l2(state.rho)
     max_u = initial_u
     if snapshot_writer is not None:
         snapshot_writer(state, 0)
@@ -744,10 +743,10 @@ def run_simulation(problem, cfg: SolverConfig, diagnostics_sink=None,
             f_faces = None
         elif problem.time_independent_forcing:
             if forcing_cache is None:
-                forcing_cache = problem.forcing_faces(mesh, t_new, cfg)
+                forcing_cache = problem.forcing_faces(t_new, cfg)
             f_faces = forcing_cache
         else:
-            f_faces = problem.forcing_faces(mesh, t_new, cfg)
+            f_faces = problem.forcing_faces(t_new, cfg)
         try:
             new_state, stats = advance_timestep(state, cfg, problem.mu_law,
                                                 f_faces, solver)

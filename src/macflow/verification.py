@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from . import operators as ops
-from .fields import (CellScalarField, VelocityField, norm_h1, norm_l2,
+from .fields import (CellScalarField, VelocityField, _lp, norm_h1, norm_l2,
                      norm_lp, project_cell, project_face,
                      reconstruct_cell_to_face, reconstruct_face_to_cell,
                      reconstruct_face_to_pair, velocity_inner)
@@ -311,11 +311,7 @@ def check_inequalities(mesh: MacMesh, trials=1000, seed=0) -> dict:
 
 
 def _face_lp(mesh, values, i, p):
-    vals = np.asarray(values).ravel()
-    if np.isinf(p):
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
-    vols = mesh.dual_volumes(i).ravel()
-    return float(np.dot(vols, np.abs(vals) ** p) ** (1.0 / p))
+    return _lp(mesh.dual_volumes(i).ravel(), np.asarray(values).ravel(), p)
 
 
 def check_fortin(mesh: MacMesh, order=7) -> dict:
@@ -389,11 +385,10 @@ def coupled_residuals(prev, rho_new, rho_dual_new, u_new, p, mu_t, fluxes,
     relative to the norm of its time term (mass) or to the root sum of
     squares of the norms of its separate terms (momentum)."""
     mesh = rho_new.mesh
-    cell_vols = mesh.cell_volumes.ravel()
     mass_r = ((rho_new.values - prev.rho.values) / dt
               + ops.mass_divergence(fluxes).values)
-    mass_res = float(np.sqrt(np.dot(cell_vols, mass_r ** 2)))
-    mass_scale = float(np.sqrt(np.dot(cell_vols, (prev.rho.values / dt) ** 2)))
+    mass_res = norm_l2(CellScalarField(mesh, mass_r))
+    mass_scale = norm_l2(CellScalarField(mesh, prev.rho.values / dt))
 
     conv = ops.convection_apply(fluxes, u_new, scheme)
     diff = ops.diffusion_apply(mu_t, u_new)
@@ -512,7 +507,7 @@ def step_audit(prev, next_state, cfg, mu_law, forcing=None,
     )
 
 
-def velocity_estimate_bounds(result, mesh, mu_law) -> dict:
+def velocity_estimate_bounds(result, mu_law) -> dict:
     """A-priori velocity estimates with their explicit data-dependent
     constants, evaluated from the run data.
 
@@ -527,7 +522,7 @@ def velocity_estimate_bounds(result, mesh, mu_law) -> dict:
     rho_min, rho_max = result.final_state.rho_bounds
     sample = np.linspace(rho_min, rho_max, 1001)
     mu_min = float(np.min(mu_law(sample)))
-    diam = mesh.diameter
+    diam = result.final_state.rho.mesh.diameter
     forcing = result.forcing_sq_time_integral
     data = rho_max * result.initial_u_l2 ** 2
     linf_lhs = rho_min * result.max_u_l2 ** 2

@@ -298,7 +298,7 @@ class TestBlockPreconditionedSaddle:
         cfg = SolverConfig(dt=self.DT, t_end=3 * self.DT)
         state = initial_state(mesh, problem.rho0, problem.u0)
         solver = StepSolver(mesh)
-        f = problem.forcing_faces(mesh, cfg.dt, cfg)
+        f = problem.forcing_faces(cfg.dt, cfg)
         per_step = []
         for _ in range(3):
             state, stats = advance_timestep(state, cfg, problem.mu_law, f,
@@ -315,7 +315,7 @@ class TestBlockPreconditionedSaddle:
         cfg = SolverConfig(dt=self.DT, t_end=self.DT, picard_max=4,
                            linear_tol=1e-6)
         state = initial_state(mesh, problem.rho0, problem.u0)
-        f = problem.forcing_faces(mesh, cfg.dt, cfg)
+        f = problem.forcing_faces(cfg.dt, cfg)
         ref, _ = advance_timestep(state, cfg, problem.mu_law, f)
         real = spla.gmres
         calls = []

@@ -80,7 +80,7 @@ class TestConfigParsing:
         problem = make_problem("quiescent", setup.mesh)
         problem.forcing = (lambda t, x, y: t * np.ones_like(x),
                            lambda t, x, y: 0.0 * x)
-        f = problem.forcing_faces(setup.mesh, 0.2, setup.solver)
+        f = problem.forcing_faces(0.2, setup.solver)
         assert np.allclose(f[0][setup.mesh.interior_mask(0)], 0.1, atol=1e-14)
 
     def test_bad_forcing_time(self, tmp_path):

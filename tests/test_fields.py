@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from macflow.fields import (CellScalarField, FieldError, VelocityField,
                             reconstruct_face_to_cell, reconstruct_face_to_pair)
 from macflow.mesh import AxisPartition, build_mesh, dual_faces_of
 from macflow import operators as ops
+from macflow.verification import check_fortin
 
 
 class TestFieldInvariants:
@@ -81,6 +83,76 @@ class TestProjections:
         from macflow.fields import QuadratureError
         with pytest.raises(QuadratureError):
             project_cell(mesh22, lambda x, y: np.where(x > 0.3, np.nan, 1.0))
+
+
+class TestProjections3d:
+    """Projections on a 3d mesh stretched differently along each axis,
+    against closed-form means of a degree-9-per-axis polynomial, which the
+    default 5-point rule averages exactly."""
+
+    @pytest.fixture(scope="class")
+    def mesh(self):
+        return build_mesh([AxisPartition.geometric(0.0, 1.0, 5, 3.0),
+                           AxisPartition.geometric(0.0, 2.0, 4, 0.5),
+                           AxisPartition.geometric(-1.0, 1.0, 3, 2.0)])
+
+    @pytest.fixture(scope="class")
+    def terms(self):
+        # a sum of two separable terms: one degree-9 polynomial per axis each
+        rng = np.random.default_rng(93)
+        return [[Polynomial(rng.uniform(-1.0, 1.0, 10)) for _ in range(3)]
+                for _ in range(2)]
+
+    @staticmethod
+    def _fn(terms):
+        return lambda *X: sum(np.prod([P(x) for P, x in zip(term, X)], axis=0)
+                              for term in terms)
+
+    @staticmethod
+    def _closed_form(terms, axes):
+        """Means over the product partition: an interval mean on each axis
+        given as ``(breakpoints, True)``, point values on one given as
+        ``(breakpoints, False)``."""
+        total = 0.0
+        for term in terms:
+            factors = []
+            for P, (b, averaged) in zip(term, axes):
+                if averaged:
+                    F = P.integ()
+                    factors.append(np.diff(F(b)) / np.diff(b))
+                else:
+                    factors.append(P(b))
+            total = total + np.einsum("i,j,k->ijk", *factors)
+        return total
+
+    def test_cell_means(self, mesh, terms):
+        q = project_cell(mesh, self._fn(terms))
+        exact = self._closed_form(terms, [(b, True) for b in mesh.breaks])
+        assert np.allclose(q.shaped, exact, rtol=0.0,
+                           atol=1e-12 * np.abs(exact).max())
+
+    @pytest.mark.parametrize("variant", ["dual", "fortin"])
+    def test_face_means(self, mesh, terms, variant):
+        u = project_face(mesh, [self._fn(terms)] * 3, variant=variant)
+        for i in range(3):
+            if variant == "dual":
+                axes = [(mesh.dual_breaks[a] if a == i else mesh.breaks[a], True)
+                        for a in range(3)]
+            else:
+                axes = [(mesh.breaks[a], a != i) for a in range(3)]
+            exact = np.where(mesh.interior_mask(i),
+                             self._closed_form(terms, axes), 0.0)
+            assert np.allclose(u.shaped(i), exact, rtol=0.0,
+                               atol=1e-12 * np.abs(exact).max())
+
+    def test_fortin_commutes_with_divergence(self, mesh):
+        report = check_fortin(mesh)
+        assert report["fortin_divergence_free"] <= 1e-12
+        assert report["fortin_commutes"] <= 1e-12
+
+    def test_unknown_variant_rejected(self, mesh, terms):
+        with pytest.raises(ValueError, match="variant"):
+            project_face(mesh, [self._fn(terms)] * 3, variant="mean")
 
 
 def _block_lp(vals, p, cell_measure):

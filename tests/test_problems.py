@@ -279,9 +279,9 @@ class TestForcingProjection:
                            lambda t, x, y: 0.0 * x)
         from macflow.solver import SolverConfig
         cfg = SolverConfig(dt=0.2, t_end=0.2, forcing_time="slab_average")
-        f = problem.forcing_faces(unit_square, 0.2, cfg)
+        f = problem.forcing_faces(0.2, cfg)
         interior = unit_square.interior_mask(0)
         assert np.allclose(f[0][interior], 0.1, atol=1e-14)
         cfg = SolverConfig(dt=0.2, t_end=0.2, forcing_time="endpoint")
-        f = problem.forcing_faces(unit_square, 0.2, cfg)
+        f = problem.forcing_faces(0.2, cfg)
         assert np.allclose(f[0][interior], 0.2, atol=1e-14)

@@ -1,16 +1,19 @@
-import ctypes
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import macflow
 from conftest import KrylovStall, SpluFault, random_cells, random_velocity
 from macflow import operators as ops
 from macflow.fields import CellScalarField, VelocityField
 from macflow.mesh import AxisPartition, build_mesh, dual_faces_of
 from macflow.problems import make_problem
-from macflow.solver import (MMAP_THRESHOLD, TRANSPORT_RTOL, LinearSolveError,
+from macflow.solver import (TRANSPORT_RTOL, LinearSolveError,
                             PicardDivergenceError, SolverConfig, SolverError,
                             StepSolver, StepStats, TimeState,
                             TransportSolveError, _stream_curl_matrix,
@@ -350,7 +353,7 @@ class TestAdvanceTimestep:
         problem = make_problem("mms_b", mesh)
         cfg = SolverConfig(dt=0.01, t_end=0.01)
         state = initial_state(mesh, problem.rho0, problem.u0)
-        f = problem.forcing_faces(mesh, cfg.dt, cfg)
+        f = problem.forcing_faces(cfg.dt, cfg)
         new, _ = advance_timestep(state, cfg, problem.mu_law, f)
         lo, hi = state.rho_bounds
         assert new.rho.values.min() >= lo - 1e-12
@@ -361,7 +364,7 @@ class TestAdvanceTimestep:
         problem = make_problem("mms_b", mesh)
         cfg = SolverConfig(dt=0.01, t_end=0.01, picard_max=1, picard_tol=1e-14)
         state = initial_state(mesh, problem.rho0, problem.u0)
-        f = problem.forcing_faces(mesh, cfg.dt, cfg)
+        f = problem.forcing_faces(cfg.dt, cfg)
         with pytest.raises(PicardDivergenceError) as info:
             advance_timestep(state, cfg, problem.mu_law, f)
         assert info.value.iterations == 1
@@ -552,7 +555,7 @@ class TestLaggedFactor:
         solver = StepSolver(mesh)
         per_step = []
         for step in range(1, 4):
-            f = problem.forcing_faces(mesh, step * cfg.dt, cfg)
+            f = problem.forcing_faces(step * cfg.dt, cfg)
             state, stats = advance_timestep(state, cfg, problem.mu_law, f,
                                             solver)
             per_step.append(stats)
@@ -566,7 +569,7 @@ class TestLaggedFactor:
         problem = make_problem("mms_b", mesh)
         cfg = SolverConfig(dt=0.01, t_end=0.01, picard_max=4, linear_tol=1e-6)
         state = initial_state(mesh, problem.rho0, problem.u0)
-        f = problem.forcing_faces(mesh, cfg.dt, cfg)
+        f = problem.forcing_faces(cfg.dt, cfg)
         ref, _ = advance_timestep(state, cfg, problem.mu_law, f)
         real = spla.gmres
         calls = []
@@ -607,10 +610,34 @@ class TestTimeState:
                       ops.dual_cell_density(rho), rho_bounds=(0.5, 1.5))
 
 
-class _Mallinfo2(ctypes.Structure):
+# Runs in a fresh interpreter: free heap that earlier tests leave in this
+# process (say, eight freed 3 MiB arrays below a live 200 kB block) can serve
+# an 8 MiB block whatever the mmap threshold is.
+_MMAP_PROBE = """
+import ctypes
+import sys
+
+from macflow.solver import MMAP_THRESHOLD
+import numpy as np
+
+
+class Mallinfo2(ctypes.Structure):
     _fields_ = [(name, ctypes.c_size_t) for name in (
         "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
         "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
+try:
+    mallinfo2 = ctypes.CDLL(None).mallinfo2
+except (OSError, TypeError, AttributeError):
+    sys.exit(3)
+mallinfo2.restype = Mallinfo2
+big = np.empty(3 * MMAP_THRESHOLD // 4)     # 8-byte items: 24 MiB
+del big
+before = mallinfo2().hblkhd
+block = np.empty(MMAP_THRESHOLD // 4)       # 8 MiB
+print(mallinfo2().hblkhd - before, block.nbytes)
+"""
 
 
 class TestMmapThreshold:
@@ -618,13 +645,13 @@ class TestMmapThreshold:
         """With glibc's sliding threshold, freeing a 24 MiB mmapped block
         moves every later block up to 24 MiB into the heap; with the
         threshold fixed, an 8 MiB block is still mmapped."""
-        try:
-            mallinfo2 = ctypes.CDLL(None).mallinfo2
-        except (OSError, TypeError, AttributeError):
+        src = os.path.dirname(os.path.dirname(macflow.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _MMAP_PROBE],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, check=False)
+        if proc.returncode == 3:
             pytest.skip("no glibc mallinfo2")
-        mallinfo2.restype = _Mallinfo2
-        big = np.empty(3 * MMAP_THRESHOLD // 4)     # 8-byte items: 24 MiB
-        del big
-        before = mallinfo2().hblkhd
-        block = np.empty(MMAP_THRESHOLD // 4)       # 8 MiB
-        assert mallinfo2().hblkhd - before >= block.nbytes
+        assert proc.returncode == 0, proc.stderr
+        grown, nbytes = map(int, proc.stdout.split())
+        assert grown >= nbytes

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -88,7 +86,6 @@ class TestStepAudit:
         cfg = SolverConfig(dt=0.1, t_end=0.1)
         state = initial_state(mesh8, problem.rho0, problem.u0)
         tampered = CellScalarField(mesh8, state.rho.values * 1.001)
-        bad = dataclasses.replace  # noqa: F841  (kept for clarity)
         from macflow.solver import TimeState
         next_state = TimeState(cfg.dt, tampered, state.u, state.p,
                                ops.dual_cell_density(tampered),
@@ -181,8 +178,7 @@ class TestStepAudit:
         problem = make_problem("mms_b", mesh8)
         cfg = SolverConfig(dt=0.01, t_end=0.05)
         result = run_simulation(problem, cfg)
-        est = verification.velocity_estimate_bounds(result, mesh8,
-                                                    problem.mu_law)
+        est = verification.velocity_estimate_bounds(result, problem.mu_law)
         assert est["linf_l2_satisfied"]
         assert est["l2_h1_satisfied"]
         assert est["linf_l2_lhs"] > 0.0 and est["l2_h1_lhs"] > 0.0
