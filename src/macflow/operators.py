@@ -705,8 +705,9 @@ def transport_matrix(mesh: MacMesh, u: VelocityField, diagonal=0.0,
 
 def dump_matrix_coo(matrix, path):
     """Write a sparse matrix as text lines ``row col value``."""
+    # imported here: output imports verification, which imports this module
+    from .output import _write_rows
     coo = sp.coo_matrix(matrix)
     with open(path, "w") as fh:
         fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v:.17g}\n")
+        _write_rows(fh, "%d %d %.17g\n", coo.row, coo.col, coo.data)

@@ -25,12 +25,16 @@ preconditioner is block upper-triangular (Cahouet & Chabard, IJNMF 8,
 Solvers, 2nd ed., 2014, ch. 9): a factor of the velocity block and a
 variable-density Cahouet-Chabard approximation of the pressure Schur
 complement; GMRES multiplies by the momentum matrix, assembled once per
-solve.  Factors are rebuilt only when GMRES misses its target in one cycle
-or the residual check of the original equations fails; that check always
-applies the momentum operator matrix-free.  In 3d, when the fresh factors
-fail too, the saddle system is assembled afresh, factored and solved
-directly.  A step whose Picard loop stalls is retried once with every
-momentum system solved directly.
+solve.  Every GMRES solve starts from the last answer the policy accepted,
+the previous Picard iterate or the last one of the previous step (Saad,
+Iterative Methods for Sparse Linear Systems, 2nd ed., 2003, ch. 6); that
+changes only GMRES's starting point, never its target, the residual check
+or the fallbacks.  Factors are rebuilt only when GMRES misses its target in
+one cycle or the residual check of the original equations fails; that
+check always applies the momentum operator matrix-free.  In 3d, when the
+fresh factors fail too, the saddle system is assembled afresh, factored
+and solved directly.  A step whose Picard loop stalls is retried once with
+every momentum system solved directly.
 
 Mesh-constant assembly work is done once per mesh: :class:`StepSolver`
 holds the CSR pattern of the transport matrix and, in 3d, of the momentum
@@ -43,7 +47,7 @@ depend on what earlier runs in the same process freed.
 
 import ctypes
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -212,14 +216,17 @@ class TimeState:
 
 @dataclass
 class StepStats:
-    """Outcome of one step: Picard iterations and the last residuals, plus
-    the work of all its linear solves, which ``transport_solve`` and
-    ``StepSolver.momentum_solve`` add to the two counts."""
+    """Outcome of one step: Picard iterations, the last residuals and the
+    residual history of the attempt that returned, plus the work of all its
+    linear solves, which ``transport_solve`` and ``StepSolver.momentum_solve``
+    add to the two counts."""
     iterations: int = 0
     mass_residual: float = float("nan")
     momentum_residual: float = float("nan")
     factorizations: int = 0        # SuperLU factorizations
     krylov_iterations: int = 0     # GMRES and BiCGSTAB iterations
+    # max(mass, momentum) residual after each Picard iteration
+    picard_residuals: list = field(default_factory=list)
 
 
 def _splu(matrix, what, symmetric_pattern=False):
@@ -302,12 +309,21 @@ class LinearSolve:
     about a fifth).  With ``lagged`` False no Krylov answer is tried: every
     system is factored afresh and solved directly, by ``direct()`` when
     given.
+
+    GMRES starts from the last answer ``solve`` returned within ``tol``,
+    whether it came from GMRES, from fresh factors or from ``direct()``;
+    a rejected answer never becomes the starting point.  The start is all
+    it changes: GMRES's target stays relative to the preconditioned
+    right-hand side, and the acceptance bounds, the residual check and
+    the fallbacks are those above.  The systems of one ``LinearSolve``
+    therefore all have one size.
     """
 
     def __init__(self, restart):
         self.restart = restart
         self.lagged = True
         self._precond = None
+        self._guess = None      # the last answer returned within tol
 
     def solve(self, apply, factor, rhs, check, tol, stats: StepStats,
               direct=None):
@@ -327,7 +343,7 @@ class LinearSolve:
         if direct is None:
             self._precond = None    # freed before factor() allocates
             self._precond = factor()
-            return check(self._precond(rhs))
+            return self._checked(self._precond(rhs), check, tol)
         self._precond = None
         if self.lagged:
             self._precond = factor()
@@ -335,13 +351,20 @@ class LinearSolve:
             if out is not None:
                 return out
             self._precond = None
-        return check(direct())
+        return self._checked(direct(), check, tol)
+
+    def _checked(self, x, check, tol):
+        # only an answer within tol becomes the next GMRES starting point
+        out = check(x)
+        if out[-1] <= tol:
+            self._guess = x
+        return out
 
     def _attempt(self, apply, rhs, check, tol, stats):
         x = self._krylov(apply, rhs, stats)
         if x is None:
             return None
-        out = check(x)
+        out = self._checked(x, check, tol)
         return out if out[-1] <= tol else None
 
     def _krylov(self, apply, rhs, stats):
@@ -359,8 +382,11 @@ class LinearSolve:
             stats.krylov_iterations += 1
             pr_norm = value
 
-        x, info = spla.gmres(op, solve(rhs), rtol=REDUCED_RTOL,
-                             restart=self.restart, maxiter=1, callback=count,
+        # the target stays relative to |M^-1 rhs|: the guess only shortens
+        # the way to it
+        x, info = spla.gmres(op, solve(rhs), x0=self._guess,
+                             rtol=REDUCED_RTOL, restart=self.restart,
+                             maxiter=1, callback=count,
                              callback_type="pr_norm")
         return x if info == 0 or pr_norm <= REDUCED_ACCEPT else None
 
@@ -642,6 +668,7 @@ def advance_timestep(state: TimeState, cfg: SolverConfig, mu_law,
 def _picard_step(state, cfg, mu_law, f_faces, solver, stats):
     dt = cfg.dt
     u_iter = state.u
+    stats.picard_residuals.clear()     # a retry keeps its own history
     for k in range(cfg.picard_max):
         rho_new = transport_solve(state.rho, u_iter, dt, cfg.linear_tol, stats,
                                   solver.transport_pattern)
@@ -658,15 +685,16 @@ def _picard_step(state, cfg, mu_law, f_faces, solver, stats):
                 ops.mass_fluxes(rho_new, u_new), f_faces, dt,
                 cfg.advection_scheme)
         stats.iterations = k + 1
+        stats.picard_residuals.append(max(stats.mass_residual,
+                                          stats.momentum_residual))
         u_iter = u_new
-        if max(stats.mass_residual, stats.momentum_residual) <= cfg.picard_tol:
+        if stats.picard_residuals[-1] <= cfg.picard_tol:
             break
     else:
         raise PicardDivergenceError(
             f"no convergence in {cfg.picard_max} Picard iterations "
-            f"(residual {max(stats.mass_residual, stats.momentum_residual):g})",
-            residual=max(stats.mass_residual, stats.momentum_residual),
-            iterations=cfg.picard_max)
+            f"(residual {stats.picard_residuals[-1]:g})",
+            residual=stats.picard_residuals[-1], iterations=cfg.picard_max)
     # re-solve transport with the accepted velocity so the published pair
     # satisfies the mass balance in every cell to within TRANSPORT_RTOL
     rho_final = transport_solve(state.rho, u_iter, dt, cfg.linear_tol, stats,

@@ -60,7 +60,8 @@ class KrylovStall:
     None leaves that end open, and ``stall_from=None`` never stalls),
     stagnates: it returns an unconverged iterate (all ones) with ``info``,
     by default positive as from a solver that ran out of iterations; 0
-    reports a wrong iterate as converged."""
+    reports a wrong iterate as converged.  ``kwargs`` holds the keyword
+    arguments of every call."""
 
     def __init__(self, real, stall_from=None, stall_to=None, info=1):
         self.real = real
@@ -68,10 +69,86 @@ class KrylovStall:
         self.stall_to = stall_to
         self.info = info
         self.calls = 0
+        self.kwargs = []
 
     def __call__(self, A, b, *args, **kwargs):
         self.calls += 1
+        self.kwargs.append(kwargs)
         if self.stall_from is not None and self.calls >= self.stall_from \
                 and (self.stall_to is None or self.calls <= self.stall_to):
             return np.ones_like(b), self.info
         return self.real(A, b, *args, **kwargs)
+
+
+def warm_started_solve(problem, cfg):
+    """Runs ``problem`` under ``cfg`` and returns the positional arguments
+    and the answer ``(u, p, res)`` of its last momentum solve that GMRES
+    answered with the held factors, starting from a held answer."""
+    from macflow.solver import StepSolver, advance_timestep, initial_state
+
+    solver = StepSolver(problem.mesh)
+    real = solver.momentum_solve
+    found = []
+
+    def spy(*args):
+        stats = args[-1]
+        warm = solver.linear._guess is not None
+        factorizations = stats.factorizations
+        out = real(*args)
+        if warm and stats.factorizations == factorizations:
+            found.append((args, out))
+        return out
+
+    solver.momentum_solve = spy
+    state = initial_state(problem.mesh, problem.rho0, problem.u0)
+    for step in range(1, cfg.n_steps + 1):
+        state, _ = advance_timestep(state, cfg, problem.mu_law,
+                                    problem.forcing_faces(step * cfg.dt, cfg),
+                                    solver)
+    assert found, "no momentum solve was answered by warm-started GMRES"
+    return found[-1]
+
+
+def assert_matches_direct_solve(mesh, args, answer):
+    """The answer ``(u, p, res)`` of ``StepSolver.momentum_solve(*args)``
+    meets ``linear_tol`` and matches a ``lagged=False`` solve of the same
+    system.  Each answer's residual ``r`` is relative to ``max(|b|, 1)`` and
+    bounds the 2-norm of ``K x - rhs`` for the bordered saddle matrix ``K``,
+    so two answers within ``linear_tol`` differ by at most ``2 linear_tol
+    max(|b|, 1) / sigma_min(K)`` in velocity and pressure together."""
+    import scipy.sparse as sp
+
+    from macflow import operators as ops
+    from macflow.solver import StepSolver, StepStats
+
+    (rho_dual_new, rho_dual_old, u_old, fluxes, mu_t, f_faces, dt, scheme,
+     linear_tol, _) = args
+    u, p, res = answer
+    assert res <= linear_tol
+    ref = StepSolver(mesh)
+    ref.linear.lagged = False
+    stats = StepStats()
+    u_ref, p_ref, res_ref = ref.momentum_solve(*args[:-1], stats)
+    assert stats.krylov_iterations == 0 and res_ref <= linear_tol
+
+    dofs = ops.FaceDofMap(mesh)
+    b = dofs.pack(rho_dual_old) * dofs.pack(
+        [u_old.shaped(i) for i in range(mesh.dim)]) / dt
+    if f_faces is not None:
+        b = b + dofs.pack(f_faces)
+    A = (sp.diags(dofs.pack(rho_dual_new) / dt)
+         + ops.convection_matrix(fluxes, scheme, dofs)
+         - ops.diffusion_matrix(mesh, mu_t, dofs))
+    m = mesh.cell_volumes.ravel()
+    K = sp.bmat([[A, ops.pressure_gradient_matrix(mesh, dofs), None],
+                 [ops.divergence_constraint_matrix(mesh, dofs), None,
+                  m[:, None]],
+                 [None, m[None, :], None]])
+    sigma_min = np.linalg.svd(K.toarray(), compute_uv=False)[-1]
+    bound = 2.0 * linear_tol * max(np.linalg.norm(b), 1.0) / sigma_min
+    du = dofs.pack([u.shaped(i) - u_ref.shaped(i) for i in range(mesh.dim)])
+    dp = p.values - p_ref.values
+    assert np.hypot(np.linalg.norm(du), np.linalg.norm(dp)) <= bound
+    # and, as the direct-solve oracles of the solver tests ask, entrywise
+    assert np.max(np.abs(du)) <= linear_tol
+    assert np.max(np.abs(dp)) <= linear_tol

@@ -7,7 +7,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import KrylovStall, SpluFault
+from conftest import (KrylovStall, SpluFault, assert_matches_direct_solve,
+                      warm_started_solve)
 from macflow import operators as ops
 from macflow.fields import CellScalarField, VelocityField, norm_h1
 from macflow.mesh import AxisPartition, build_mesh
@@ -337,6 +338,60 @@ class TestBlockPreconditionedSaddle:
         for i in range(3):
             assert np.allclose(new.u.components[i], ref.u.components[i],
                                rtol=0, atol=1e-9)
+
+    def test_warm_started_answer_matches_direct_solve(self):
+        mesh = stretched_mesh(6)
+        args, answer = warm_started_solve(
+            stirred_problem(mesh), SolverConfig(dt=self.DT, t_end=2 * self.DT))
+        assert_matches_direct_solve(mesh, args, answer)
+
+    def test_rejected_answer_never_becomes_the_start(self, rng, monkeypatch):
+        mesh = stretched_mesh(6)
+        solver = StepSolver(mesh)
+        first = self._system(mesh, rng)
+        u, p, _ = self._solve(solver, first, StepStats())
+        accepted = np.concatenate([solver.dofs.pack(list(u.components)),
+                                   p.values])
+        # a wrong iterate reported as converged, rejected by the residual
+        # check; GMRES with the fresh blocks must start from the answer to
+        # the first system
+        stall = KrylovStall(spla.gmres, stall_from=1, stall_to=1, info=0)
+        monkeypatch.setattr(spla, "gmres", stall)
+        _, _, res = self._solve(
+            solver, self._system(mesh, rng, near=(first[2].rho, first[1])),
+            StepStats())
+        assert stall.calls == 2 and res <= 1e-9
+        for kwargs in stall.kwargs:
+            assert np.array_equal(kwargs["x0"][:accepted.size], accepted)
+
+    def test_warm_start_saves_krylov_iterations(self, monkeypatch):
+        mesh = stretched_mesh(6)
+        problem = stirred_problem(mesh)
+        cfg = SolverConfig(dt=self.DT, t_end=3 * self.DT)
+        f = problem.forcing_faces(cfg.dt, cfg)
+
+        def run():
+            state = initial_state(mesh, problem.rho0, problem.u0)
+            solver = StepSolver(mesh)
+            picard, krylov = [], 0
+            for _ in range(3):
+                state, stats = advance_timestep(state, cfg, problem.mu_law,
+                                                f, solver)
+                picard.append(stats.iterations)
+                krylov += stats.krylov_iterations
+            return picard, krylov
+
+        warm_picard, warm = run()
+        real_solve = LinearSolve.solve
+
+        def cold_start(self, *args, **kwargs):
+            self._guess = None
+            return real_solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(LinearSolve, "solve", cold_start)
+        cold_picard, cold = run()
+        assert warm_picard == cold_picard
+        assert warm < cold
 
     def test_stirred_step_audit_on_stretched_12cubed(self):
         problem = stirred_problem(stretched_mesh(12))

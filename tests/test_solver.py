@@ -8,7 +8,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import macflow
-from conftest import KrylovStall, SpluFault, random_cells, random_velocity
+from conftest import (KrylovStall, SpluFault, assert_matches_direct_solve,
+                      random_cells, random_velocity, warm_started_solve)
 from macflow import operators as ops
 from macflow.fields import CellScalarField, VelocityField
 from macflow.mesh import AxisPartition, build_mesh, dual_faces_of
@@ -359,6 +360,20 @@ class TestAdvanceTimestep:
         assert new.rho.values.min() >= lo - 1e-12
         assert new.rho.values.max() <= hi + 1e-12
 
+    def test_picard_residual_history(self):
+        mesh = build_mesh([AxisPartition.uniform(0, 1, 16)] * 2)
+        problem = make_problem("mms_b", mesh)
+        cfg = SolverConfig(dt=0.02, t_end=0.02)
+        state = initial_state(mesh, problem.rho0, problem.u0)
+        _, stats = advance_timestep(state, cfg, problem.mu_law,
+                                    problem.forcing_faces(cfg.dt, cfg))
+        assert stats.iterations > 1
+        assert len(stats.picard_residuals) == stats.iterations
+        assert stats.picard_residuals[-1] == max(stats.mass_residual,
+                                                 stats.momentum_residual)
+        assert stats.picard_residuals[-1] <= cfg.picard_tol
+        assert all(r > cfg.picard_tol for r in stats.picard_residuals[:-1])
+
     def test_picard_cap_raises(self, rng):
         mesh = build_mesh([AxisPartition.uniform(0, 1, 8)] * 2)
         problem = make_problem("mms_b", mesh)
@@ -586,11 +601,48 @@ class TestLaggedFactor:
         # into the cap; the retry used none
         assert len(calls) == cfg.picard_max - 1
         assert max(stats.mass_residual, stats.momentum_residual) <= cfg.picard_tol
+        # the history is that of the retry alone
+        assert len(stats.picard_residuals) == stats.iterations
         assert stats.factorizations >= 1 + stats.iterations
         assert solver.linear.lagged
         for i in range(2):
             assert np.allclose(new.u.components[i], ref.u.components[i],
                                rtol=0, atol=1e-9)
+
+
+class TestWarmStart:
+    """Every GMRES solve starts from the last answer accepted within
+    ``linear_tol``; only its starting point changes."""
+
+    def test_warm_started_answer_matches_direct_solve(self):
+        mesh = build_mesh([AxisPartition.uniform(0, 1, 16)] * 2)
+        args, answer = warm_started_solve(make_problem("mms_b", mesh),
+                                          SolverConfig(dt=0.02, t_end=0.06))
+        assert_matches_direct_solve(mesh, args, answer)
+
+    def test_rejected_answer_never_becomes_the_start(self, mesh_stretched,
+                                                     rng, monkeypatch):
+        mesh = mesh_stretched
+        solver = StepSolver(mesh)
+        systems = [TestLaggedFactor._system(mesh, rng) for _ in range(3)]
+
+        def solve(system):
+            rho_dual, adv, fluxes, mu_t, f = system
+            u, _, _ = solver.momentum_solve(rho_dual, rho_dual, adv, fluxes,
+                                            mu_t, f, 0.05)
+            return solver.dofs.pack(list(u.components))
+
+        first = solve(systems[0])
+        # a wrong iterate reported as converged; the residual check rejects
+        # it and the fresh factor answers
+        stall = KrylovStall(spla.gmres, stall_from=1, stall_to=1, info=0)
+        monkeypatch.setattr(spla, "gmres", stall)
+        second = solve(systems[1])
+        solve(systems[2])
+        assert stall.calls == 2
+        starts = [solver.curl @ kw["x0"] for kw in stall.kwargs]
+        assert np.array_equal(starts[0], first)
+        assert np.array_equal(starts[1], second)
 
 
 class TestTimeState:
