@@ -32,6 +32,7 @@ __all__ = [
     "reconstruct_face_to_pair",
     "norm_l2",
     "norm_h1",
+    "norm_lp",
     "velocity_inner",
 ]
 

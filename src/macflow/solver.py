@@ -188,18 +188,19 @@ class SolverConfig:
 
 
 class TimeState:
-    """Solution snapshot: (t, rho, u, p) plus the cached dual-cell densities
-    the next momentum step needs.  rho must stay inside the bounds recorded
-    at initialization (discrete maximum principle)."""
+    """Solution snapshot: (t, rho, u, p) plus the dual-cell densities
+    ``rho_dual``, derived here from rho, that the next momentum step and the
+    kinetic energy need.  rho must stay inside the bounds recorded at
+    initialization (discrete maximum principle)."""
 
     BOUNDS_SLACK = 1e-10
 
-    def __init__(self, t, rho, u, p, rho_dual, rho_bounds):
+    def __init__(self, t, rho, u, p, rho_bounds):
         self.t = float(t)
         self.rho = rho
         self.u = u
         self.p = p
-        self.rho_dual = tuple(np.asarray(a, dtype=float) for a in rho_dual)
+        self.rho_dual = tuple(ops.dual_cell_density(rho))
         self.rho_bounds = (float(rho_bounds[0]), float(rho_bounds[1]))
         lo, hi = self.rho_bounds
         slack = self.BOUNDS_SLACK * max(abs(lo), abs(hi), 1.0)
@@ -229,7 +230,8 @@ class StepStats:
     picard_residuals: list = field(default_factory=list)
 
 
-def _splu(matrix, what, symmetric_pattern=False):
+def _splu(matrix, what, stats=None, symmetric_pattern=False):
+    """SuperLU factors of ``matrix``, counted into ``stats`` when given."""
     # MMD on the A^T+A pattern beats COLAMD on the 2d reduced systems, the
     # pinned pressure recovery system, the 3d velocity block and the
     # bordered pressure Laplacian, but degrades badly on the indefinite
@@ -237,9 +239,12 @@ def _splu(matrix, what, symmetric_pattern=False):
     # order, so the 2d pressure recovery pins a cell instead
     kwargs = {"permc_spec": "MMD_AT_PLUS_A"} if symmetric_pattern else {}
     try:
-        return spla.splu(matrix.tocsc(), **kwargs)
+        lu = spla.splu(matrix.tocsc(), **kwargs)
     except RuntimeError as exc:
         raise LinearSolveError(f"{what}: factorization failed: {exc}") from exc
+    if stats is not None:
+        stats.factorizations += 1
+    return lu
 
 
 def transport_solve(rho_n: CellScalarField, u: VelocityField, dt,
@@ -271,15 +276,12 @@ def transport_solve(rho_n: CellScalarField, u: VelocityField, dt,
                            M=sp.diags(1.0 / A.diagonal()), callback=count)
     if np.max(np.abs(A @ rho - rhs)) <= bound:
         return CellScalarField(mesh, rho)
-    stats.factorizations += 1
     try:
-        lu = spla.splu(A.tocsc())
-    except RuntimeError as exc:
+        lu = _splu(A, "transport matrix", stats)
+    except LinearSolveError as exc:
         diag = np.abs(A.diagonal())
         est = float(diag.max() / max(diag.min(), np.finfo(float).tiny))
-        raise TransportSolveError(
-            f"transport matrix factorization failed: {exc}",
-            condition_estimate=est) from exc
+        raise TransportSolveError(str(exc), condition_estimate=est) from exc
     rho = lu.solve(rhs)
     res = np.linalg.norm(A @ rho - rhs)
     if not np.all(np.isfinite(rho)) or res > max(linear_tol * scale, linear_tol):
@@ -490,10 +492,9 @@ class StepSolver:
         p = self._pressure_lu.solve(rhs)
         return p - np.dot(self.cell_vol, p) / self.mesh.domain_measure
 
-    def _momentum_apply(self, rho_dual_new, fluxes, mu_t, dt, scheme):
+    def _momentum_apply(self, mass, fluxes, mu_t, scheme):
         """Matrix-free product with the matrix of ``ops._momentum_matrix``."""
         mesh, dofs = self.mesh, self.dofs
-        mass = dofs.pack(rho_dual_new) / dt
 
         def apply(u_vec):
             u = VelocityField(mesh, dofs.unpack(u_vec))
@@ -523,8 +524,7 @@ class StepSolver:
         def factor_reduced():
             # A and the CSR product are freed before SuperLU allocates
             lu = _splu((curl.T @ (weight @ (assemble() @ curl))).tocsc(),
-                       "reduced momentum system", symmetric_pattern=True)
-            stats.factorizations += 1
+                       "reduced momentum system", stats, symmetric_pattern=True)
             return lu.solve
 
         def recover(psi):
@@ -556,14 +556,13 @@ class StepSolver:
             return out
 
         def factor_blocks():
-            a_lu = _splu(A.tocsc(), "momentum block",
+            a_lu = _splu(A.tocsc(), "momentum block", stats,
                          symmetric_pattern=True)
-            stats.factorizations += 1
             lap = div_c @ sp.diags(1.0 / self.dofs.pack(rho_dual_new)) @ grad
             l_lu = _splu(sp.bmat([[lap, m[:, None]], [m[None, :], None]],
                                  format="csc"),
-                         "pressure Schur approximation", symmetric_pattern=True)
-            stats.factorizations += 1
+                         "pressure Schur approximation", stats,
+                         symmetric_pattern=True)
             visc = mu_t.mu_cells.ravel() / m
             vol = self.mesh.domain_measure
 
@@ -586,8 +585,7 @@ class StepSolver:
             K = sp.bmat([[assemble(), grad, None],
                          [div_c, None, m[:, None]],
                          [None, m[None, :], None]], format="csc")
-            lu = _splu(K, "momentum saddle system")
-            stats.factorizations += 1
+            lu = _splu(K, "momentum saddle system", stats)
             sol = lu.solve(rhs)
             # one step of iterative refinement with the same factor: the
             # pivoting on the indefinite matrix alone leaves max |div u|
@@ -602,25 +600,28 @@ class StepSolver:
         return self.linear.solve(apply_saddle, factor_blocks, rhs, split,
                                  linear_tol, stats, direct)
 
-    def momentum_solve(self, rho_dual_new, rho_dual_old, u_old: VelocityField,
-                       fluxes: ops.MassFluxSet, mu_t, f_faces, dt,
-                       scheme="centered", linear_tol=1e-9,
+    def momentum_solve(self, prev: TimeState, fluxes: ops.MassFluxSet, mu_t,
+                       f_faces, dt, scheme="centered", linear_tol=1e-9,
                        stats: StepStats | None = None):
-        """One Oseen solve with frozen fluxes; returns (u, p) satisfying the
-        momentum rows, the divergence constraint and the zero-mean pressure
-        constraint to within ``linear_tol``.  Work is counted into
-        ``stats`` when given."""
+        """One Oseen solve from the state ``prev`` with frozen fluxes;
+        returns (u, p, residual) satisfying the momentum rows, the
+        divergence constraint and the zero-mean pressure constraint to
+        within ``linear_tol``.  The new dual densities are those of the
+        density ``fluxes`` carry.  Work is counted into ``stats`` when
+        given."""
         stats = StepStats() if stats is None else stats
         mesh, dofs = self.mesh, self.dofs
-        b = dofs.pack(rho_dual_old) * dofs.pack(
-            [u_old.shaped(i) for i in range(mesh.dim)]) / dt
+        rho_dual_new = ops.dual_cell_density(fluxes.rho)
+        b = dofs.pack(prev.rho_dual) * dofs.pack(
+            [prev.u.shaped(i) for i in range(mesh.dim)]) / dt
         if f_faces is not None:
             b = b + dofs.pack(f_faces)
-        apply = self._momentum_apply(rho_dual_new, fluxes, mu_t, dt, scheme)
+        mass = dofs.pack(rho_dual_new) / dt
+        apply = self._momentum_apply(mass, fluxes, mu_t, scheme)
 
         def assemble(pattern=None):
-            return ops._momentum_matrix(dofs.pack(rho_dual_new) / dt, fluxes,
-                                        mu_t, scheme, dofs, pattern)
+            return ops._momentum_matrix(mass, fluxes, mu_t, scheme, dofs,
+                                        pattern)
 
         if self.method == "saddle":
             u_vec, p_vec, res = self._saddle(apply, assemble, b, rho_dual_new,
@@ -673,17 +674,14 @@ def _picard_step(state, cfg, mu_law, f_faces, solver, stats):
         rho_new = transport_solve(state.rho, u_iter, dt, cfg.linear_tol, stats,
                                   solver.transport_pattern)
         mu_t = ops.viscosity_tensor(rho_new, mu_law)
-        fluxes = ops.mass_fluxes(rho_new, u_iter)
-        rho_dual_new = ops.dual_cell_density(rho_new)
         u_new, p_new, _ = solver.momentum_solve(
-            rho_dual_new, state.rho_dual, state.u, fluxes, mu_t, f_faces, dt,
+            state, ops.mass_fluxes(rho_new, u_iter), mu_t, f_faces, dt,
             cfg.advection_scheme, cfg.linear_tol, stats)
         # nonlinear residuals of the coupled system at the updated iterate
         stats.mass_residual, stats.momentum_residual = \
             verification.coupled_residuals(
-                state, rho_new, rho_dual_new, u_new, p_new, mu_t,
-                ops.mass_fluxes(rho_new, u_new), f_faces, dt,
-                cfg.advection_scheme)
+                state, ops.mass_fluxes(rho_new, u_new), p_new, mu_t, f_faces,
+                dt, cfg.advection_scheme)
         stats.iterations = k + 1
         stats.picard_residuals.append(max(stats.mass_residual,
                                           stats.momentum_residual))
@@ -704,7 +702,6 @@ def _picard_step(state, cfg, mu_law, f_faces, solver, stats):
         rho=rho_final,
         u=u_iter,
         p=p_new,
-        rho_dual=ops.dual_cell_density(rho_final),
         rho_bounds=state.rho_bounds,
     )
     return new_state, stats
@@ -712,8 +709,7 @@ def _picard_step(state, cfg, mu_law, f_faces, solver, stats):
 
 def initial_state(mesh: MacMesh, rho0, u0, quadrature_order=5) -> TimeState:
     """Project the initial data: cell averages for the density, dual-cell
-    means for the velocity, zero pressure, dual densities from the convex
-    half-cell combination."""
+    means for the velocity, zero pressure."""
     rho = project_cell(mesh, rho0, quadrature_order)
     if rho.values.min() <= 0.0:
         raise SolverError("initial density must be positive")
@@ -721,7 +717,6 @@ def initial_state(mesh: MacMesh, rho0, u0, quadrature_order=5) -> TimeState:
     p = CellScalarField(mesh, np.zeros(mesh.n_cells))
     return TimeState(
         t=0.0, rho=rho, u=u, p=p,
-        rho_dual=ops.dual_cell_density(rho),
         rho_bounds=(float(rho.values.min()), float(rho.values.max())),
     )
 

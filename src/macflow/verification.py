@@ -159,13 +159,15 @@ def _dual_mass_residual_random(mesh, rng, dt):
     fluxes = ops.mass_fluxes(rho_np1, u)
     rho_n = CellScalarField(
         mesh, rho_np1.values + dt * ops.mass_divergence(fluxes).values)
-    return dual_mass_balance_residual(rho_n, rho_np1, fluxes, dt)
+    return dual_mass_balance_residual(rho_n, fluxes, dt)
 
 
-def dual_mass_balance_residual(rho_n, rho_np1, fluxes, dt) -> float:
-    """max over interior faces of the dual-cell mass balance defect, relative
-    to the density scale."""
+def dual_mass_balance_residual(rho_n, fluxes, dt) -> float:
+    """max over interior faces of the dual-cell mass balance defect from
+    ``rho_n`` to the density ``fluxes`` was built from, relative to the
+    density scale."""
     mesh = rho_n.mesh
+    rho_np1 = fluxes.rho
     dual_n = ops.dual_cell_density(rho_n)
     dual_np1 = ops.dual_cell_density(rho_np1)
     scale = max(float(np.max(np.abs(rho_n.values))),
@@ -374,17 +376,18 @@ def check_fortin(mesh: MacMesh, order=7) -> dict:
 
 # -- step audit ---------------------------------------------------------------------
 
-def coupled_residuals(prev, rho_new, rho_dual_new, u_new, p, mu_t, fluxes,
-                      forcing, dt, scheme):
+def coupled_residuals(prev, fluxes, p, mu_t, forcing, dt, scheme):
     """Relative residuals ``(mass, momentum)`` of the coupled step equations
     from ``prev`` (a time state) to the candidate ``(rho_new, u_new, p)``.
 
-    ``fluxes`` are the mass fluxes of ``(rho_new, u_new)`` and ``mu_t`` the
-    viscosity tensor of ``rho_new``.  Each residual is the dual-volume
-    (cell-volume for the mass balance) weighted L2 norm of the equation,
-    relative to the norm of its time term (mass) or to the root sum of
-    squares of the norms of its separate terms (momentum)."""
-    mesh = rho_new.mesh
+    ``fluxes`` are the mass fluxes of the candidate ``(rho_new, u_new)``,
+    which they carry, and ``mu_t`` the viscosity tensor of ``rho_new``; the
+    new dual densities are derived from ``rho_new``.  Each residual is the
+    dual-volume (cell-volume for the mass balance) weighted L2 norm of the
+    equation, relative to the norm of its time term (mass) or to the root
+    sum of squares of the norms of its separate terms (momentum)."""
+    mesh, rho_new, u_new = fluxes.mesh, fluxes.rho, fluxes.u
+    rho_dual_new = ops.dual_cell_density(rho_new)
     mass_r = ((rho_new.values - prev.rho.values) / dt
               + ops.mass_divergence(fluxes).values)
     mass_res = norm_l2(CellScalarField(mesh, mass_r))
@@ -446,7 +449,7 @@ def step_audit(prev, next_state, cfg, mu_law, forcing=None,
     if rho_identity > 10.0 * cfg.linear_tol:
         violations.append("density_l2_identity")
 
-    dual_res = dual_mass_balance_residual(rho_n, rho_np1, fluxes, dt)
+    dual_res = dual_mass_balance_residual(rho_n, fluxes, dt)
     if dual_res > 1e-12:
         violations.append("dual_mass_balance")
 
@@ -456,8 +459,7 @@ def step_audit(prev, next_state, cfg, mu_law, forcing=None,
 
     mu_t = ops.viscosity_tensor(rho_np1, mu_law)
     mass_residual, momentum_residual = coupled_residuals(
-        prev, rho_np1, next_state.rho_dual, u_np1, next_state.p, mu_t, fluxes,
-        forcing, dt, cfg.advection_scheme)
+        prev, fluxes, next_state.p, mu_t, forcing, dt, cfg.advection_scheme)
     dissipation = ops.strain_product(mu_t, u_np1)
     e_new = kinetic_energy(next_state.rho_dual, u_np1)
     e_old = kinetic_energy(prev.rho_dual, prev.u)

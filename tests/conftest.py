@@ -37,6 +37,15 @@ def random_cells(mesh, rng, lo=-1.0, hi=1.0):
     return CellScalarField(mesh, rng.uniform(lo, hi, mesh.n_cells))
 
 
+def state_at(rho, u):
+    """A time state with density ``rho``, velocity ``u`` and zero pressure:
+    the previous state of a momentum solve."""
+    from macflow.fields import CellScalarField
+    from macflow.solver import TimeState
+    p = CellScalarField(rho.mesh, np.zeros(rho.mesh.n_cells))
+    return TimeState(0.0, rho, u, p, (rho.values.min(), rho.values.max()))
+
+
 class SpluFault:
     """Stand-in for ``scipy.sparse.linalg.splu`` that counts its calls and
     raises RuntimeError, as SuperLU does on a singular matrix, from call
@@ -121,8 +130,7 @@ def assert_matches_direct_solve(mesh, args, answer):
     from macflow import operators as ops
     from macflow.solver import StepSolver, StepStats
 
-    (rho_dual_new, rho_dual_old, u_old, fluxes, mu_t, f_faces, dt, scheme,
-     linear_tol, _) = args
+    prev, fluxes, mu_t, f_faces, dt, scheme, linear_tol, _ = args
     u, p, res = answer
     assert res <= linear_tol
     ref = StepSolver(mesh)
@@ -132,11 +140,11 @@ def assert_matches_direct_solve(mesh, args, answer):
     assert stats.krylov_iterations == 0 and res_ref <= linear_tol
 
     dofs = ops.FaceDofMap(mesh)
-    b = dofs.pack(rho_dual_old) * dofs.pack(
-        [u_old.shaped(i) for i in range(mesh.dim)]) / dt
+    b = dofs.pack(prev.rho_dual) * dofs.pack(
+        [prev.u.shaped(i) for i in range(mesh.dim)]) / dt
     if f_faces is not None:
         b = b + dofs.pack(f_faces)
-    A = (sp.diags(dofs.pack(rho_dual_new) / dt)
+    A = (sp.diags(dofs.pack(ops.dual_cell_density(fluxes.rho)) / dt)
          + ops.convection_matrix(fluxes, scheme, dofs)
          - ops.diffusion_matrix(mesh, mu_t, dofs))
     m = mesh.cell_volumes.ravel()

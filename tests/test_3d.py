@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import (KrylovStall, SpluFault, assert_matches_direct_solve,
-                      warm_started_solve)
+                      state_at, warm_started_solve)
 from macflow import operators as ops
 from macflow.fields import CellScalarField, VelocityField, norm_h1
 from macflow.mesh import AxisPartition, build_mesh
@@ -64,9 +64,8 @@ def test_saddle_solve_is_divergence_free_on_stretched_3d(rng):
     adv = VelocityField.from_interior(
         mesh, [rng.uniform(-1, 1, mesh.faces_shape(i)) for i in range(3)])
     f = [rng.uniform(-1, 1, mesh.faces_shape(i)) for i in range(3)]
-    rho_dual = ops.dual_cell_density(rho)
     u, _, _ = StepSolver(mesh).momentum_solve(
-        rho_dual, rho_dual, adv, ops.mass_fluxes(rho, adv), mu_t, f, 0.01)
+        state_at(rho, adv), ops.mass_fluxes(rho, adv), mu_t, f, 0.01)
     assert np.max(np.abs(ops.divergence(u).values)) <= 1e-12
 
 
@@ -123,26 +122,26 @@ class TestBlockPreconditionedSaddle:
 
     @staticmethod
     def _system(mesh, rng, near=None):
-        """A random system, or, given the density and advecting velocity
-        ``near`` of another one, a system 5% away from it, as between two
-        Picard iterations."""
+        """A random system, or, given the mass fluxes ``near`` of another
+        one, a system 5% away from their (rho, u), as between two Picard
+        iterations."""
         rho = rng.uniform(1.0, 2.0, mesh.n_cells)
         adv = [rng.uniform(-1, 1, mesh.faces_shape(i)) for i in range(3)]
         if near is not None:
-            rho = near[0].values * (1.0 + 0.05 * (rho - 1.5))
-            adv = [near[1].shaped(i) + 0.05 * adv[i] for i in range(3)]
+            rho = near.rho.values * (1.0 + 0.05 * (rho - 1.5))
+            adv = [near.u.shaped(i) + 0.05 * adv[i] for i in range(3)]
         rho = CellScalarField(mesh, rho)
         adv = VelocityField.from_interior(mesh, adv)
-        return (ops.dual_cell_density(rho), adv, ops.mass_fluxes(rho, adv),
+        return (state_at(rho, adv), ops.mass_fluxes(rho, adv),
                 ops.viscosity_tensor(rho, lambda r: 0.1 + 0.1 * r),
                 [rng.uniform(-1, 1, mesh.faces_shape(i)) for i in range(3)])
 
     def _oracle(self, mesh, system):
         """Direct solve of the bordered system [[A, G, 0], [D, 0, m],
         [0, m^T, 0]] assembled here from the operator matrices."""
-        rho_dual, adv, fluxes, mu_t, f = system
+        prev, fluxes, mu_t, f = system
         dofs = ops.FaceDofMap(mesh)
-        A = (sp.diags(dofs.pack(rho_dual) / self.DT)
+        A = (sp.diags(dofs.pack(ops.dual_cell_density(fluxes.rho)) / self.DT)
              + ops.convection_matrix(fluxes, "centered", dofs)
              - ops.diffusion_matrix(mesh, mu_t, dofs))
         m = mesh.cell_volumes.ravel()
@@ -151,15 +150,13 @@ class TestBlockPreconditionedSaddle:
                       m[:, None]],
                      [None, m[None, :], None]], format="csc")
         rhs = np.zeros(K.shape[0])
-        rhs[:dofs.n_dofs] = dofs.pack(rho_dual) * dofs.pack(
-            [adv.shaped(i) for i in range(3)]) / self.DT + dofs.pack(f)
+        rhs[:dofs.n_dofs] = dofs.pack(prev.rho_dual) * dofs.pack(
+            [prev.u.shaped(i) for i in range(3)]) / self.DT + dofs.pack(f)
         sol = spla.spsolve(K, rhs)
         return sol[:dofs.n_dofs], sol[dofs.n_dofs:dofs.n_dofs + mesh.n_cells]
 
     def _solve(self, solver, system, stats, linear_tol=1e-9):
-        rho_dual, adv, fluxes, mu_t, f = system
-        return solver.momentum_solve(rho_dual, rho_dual, adv, fluxes, mu_t,
-                                     f, self.DT, linear_tol=linear_tol,
+        return solver.momentum_solve(*system, self.DT, linear_tol=linear_tol,
                                      stats=stats)
 
     def _assert_matches(self, mesh, system, u, p):
@@ -182,7 +179,7 @@ class TestBlockPreconditionedSaddle:
             assert stats.krylov_iterations > iterations
             assert res <= 1e-9
             self._assert_matches(mesh, system, u, p)
-            near = (system[2].rho, system[1])
+            near = system[1]
 
     @pytest.mark.parametrize("info", [1, 0],
                              ids=["stagnated", "wrong_converged"])
@@ -252,7 +249,7 @@ class TestBlockPreconditionedSaddle:
 
         monkeypatch.setattr(ops, "_momentum_matrix", perturbed)
         monkeypatch.setattr(LinearSolve, "_krylov", krylov)
-        system = self._system(mesh, rng, near=(first[2].rho, first[1]))
+        system = self._system(mesh, rng, near=first[1])
         u, p, res = self._solve(solver, system, stats)
         assert answers == [True, True]
         # the first pair, the fresh pair and the saddle LU
@@ -358,7 +355,7 @@ class TestBlockPreconditionedSaddle:
         stall = KrylovStall(spla.gmres, stall_from=1, stall_to=1, info=0)
         monkeypatch.setattr(spla, "gmres", stall)
         _, _, res = self._solve(
-            solver, self._system(mesh, rng, near=(first[2].rho, first[1])),
+            solver, self._system(mesh, rng, near=first[1]),
             StepStats())
         assert stall.calls == 2 and res <= 1e-9
         for kwargs in stall.kwargs:

@@ -88,7 +88,6 @@ class TestStepAudit:
         tampered = CellScalarField(mesh8, state.rho.values * 1.001)
         from macflow.solver import TimeState
         next_state = TimeState(cfg.dt, tampered, state.u, state.p,
-                               ops.dual_cell_density(tampered),
                                rho_bounds=(0.0, 10.0))
         rec = step_audit(state, next_state, cfg, mu_law=problem.mu_law, step=1)
         assert "mass_conservation" in rec.violations
@@ -103,8 +102,7 @@ class TestStepAudit:
         state = initial_state(mesh, problem.rho0, problem.u0)
         rho = state.rho if rho is None else CellScalarField(mesh, rho)
         next_state = TimeState(cfg.dt, rho, state.u if u is None else u,
-                               state.p, ops.dual_cell_density(rho),
-                               rho_bounds=state.rho_bounds)
+                               state.p, rho_bounds=state.rho_bounds)
         return step_audit(state, next_state, cfg, problem.mu_law,
                           step=1).violations
 
