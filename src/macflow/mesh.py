@@ -5,6 +5,11 @@ Entity numbering is lexicographic (C-order raveling of the axis-product
 index), one id space per entity class and direction.  All geometry is stored
 as flat numpy arrays so neighbour lookups during assembly are O(1) index
 arithmetic.  A mesh is immutable after construction and safe to share.
+
+Face metadata is stored at construction: the face-grid shapes and counts,
+the interior-face masks and one dual-dual volume array per unordered pair of
+directions.  The accessors return these stored arrays, read-only, so the
+matrix-free products that ask for them on every call allocate nothing.
 """
 
 from dataclasses import dataclass
@@ -189,6 +194,25 @@ class MacMesh:
         self.bounds = (_freeze(lo), _freeze(hi))
         self.diameter = float(np.linalg.norm(hi - lo))
 
+        self._faces_shape = tuple(
+            tuple(self.n[a] + 1 if a == i else self.n[a] for a in range(self.dim))
+            for i in range(self.dim))
+        self._n_faces = tuple(int(np.prod(shape)) for shape in self._faces_shape)
+        self._interior_mask = []
+        for i in range(self.dim):
+            mask = np.zeros(self._faces_shape[i], dtype=bool)
+            mask[_slab(self.dim, i, 1, -1)] = True
+            mask.flags.writeable = False
+            self._interior_mask.append(mask)
+        # one array per unordered pair: (i, j) and (j, i) share their grid
+        self._pair_volumes = {}
+        for i in range(self.dim):
+            for j in range(i, self.dim):
+                vols = self.cell_volumes if i == j else _freeze(self._outer([
+                    self.dual_widths[a] if a in (i, j) else self.widths[a]
+                    for a in range(self.dim)]))
+                self._pair_volumes[(i, j)] = self._pair_volumes[(j, i)] = vols
+
         self._face_measures = [_freeze(self._cross_section(i)) for i in range(self.dim)]
         self._dual_volumes = [
             _freeze(self._product(i, self.dual_widths[i])) for i in range(self.dim)
@@ -227,10 +251,10 @@ class MacMesh:
     # -- faces ----------------------------------------------------------------
 
     def faces_shape(self, i):
-        return tuple(self.n[a] + 1 if a == i else self.n[a] for a in range(self.dim))
+        return self._faces_shape[i]
 
     def n_faces(self, i):
-        return int(np.prod(self.faces_shape(i)))
+        return self._n_faces[i]
 
     def face_measures(self, i):
         """|sigma| on the direction-i face grid."""
@@ -241,9 +265,8 @@ class MacMesh:
         return self._dual_volumes[i]
 
     def interior_mask(self, i):
-        mask = np.zeros(self.faces_shape(i), dtype=bool)
-        mask[_slab(self.dim, i, 1, -1)] = True
-        return mask
+        """Read-only bool mask of the interior direction-i faces."""
+        return self._interior_mask[i]
 
     def face_centers(self, i):
         """(N_i, dim) coordinates of direction-i face centers, lexicographic."""
@@ -266,14 +289,9 @@ class MacMesh:
         )
 
     def pair_volumes(self, i, j):
-        """|D_sigma~| on the (i, j) dual-dual grid."""
-        if i == j:
-            return self.cell_volumes
-        arrays = [
-            self.dual_widths[a] if a in (i, j) else self.widths[a]
-            for a in range(self.dim)
-        ]
-        return self._outer(arrays)
+        """|D_sigma~| on the (i, j) dual-dual grid, read-only; one array
+        serves both orderings of the pair."""
+        return self._pair_volumes[(i, j)]
 
     def dual_face_distances(self, i, j):
         """d_sigma~ across the +e_j-normal faces of the direction-i control

@@ -29,9 +29,13 @@ solve.  Every GMRES solve starts from the last answer the policy accepted,
 the previous Picard iterate or the last one of the previous step (Saad,
 Iterative Methods for Sparse Linear Systems, 2nd ed., 2003, ch. 6); that
 changes only GMRES's starting point, never its target, the residual check
-or the fallbacks.  Factors are rebuilt only when GMRES misses its target in
-one cycle or the residual check of the original equations fails; that
-check always applies the momentum operator matrix-free.  In 3d, when the
+or the fallbacks.  GMRES is macflow's own cycle (:func:`_gmres`), scipy's
+``gmres`` operation for operation except that it does not apply the
+preconditioned operator once more to the answer: scipy needs that product
+only for its ``info``, and acceptance does not need it (see
+:class:`LinearSolve`).  Factors are rebuilt only when GMRES misses its
+target in one cycle or the residual check of the original equations fails;
+that check always applies the momentum operator matrix-free.  In 3d, when the
 fresh factors fail too, the saddle system is assembled afresh, factored
 and solved directly.  A step whose Picard loop stalls is retried once with
 every momentum system solved directly.
@@ -52,6 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import get_lapack_funcs
 
 from . import operators as ops
 from . import verification
@@ -291,6 +296,84 @@ def transport_solve(rho_n: CellScalarField, u: VelocityField, dt,
     return CellScalarField(mesh, rho)
 
 
+def _gmres(matvec, b, x0=None, *, rtol, restart, callback):
+    """One cycle of left-preconditioned GMRES(``restart``) for ``matvec(x)
+    = b``, where ``matvec`` already applies the preconditioner.
+
+    Operation for operation the cycle of scipy 1.17.1's ``gmres`` with
+    ``maxiter=1``: modified Gram-Schmidt, LAPACK ``lartg`` rotations and the
+    same back substitution, with ``callback`` given the relative Arnoldi
+    residual estimate after every iteration.  It stops when that estimate
+    meets ``rtol``, and returns ``(x, info)`` with ``info`` 0 exactly then
+    and 1 otherwise; an ``x0`` whose residual is already within the target
+    comes back unchanged with ``info`` 0.  Unlike scipy it does not apply
+    ``matvec`` once more to the answer for a true residual: a caller that
+    needs one computes it.  ``x0`` is not modified."""
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b, 0
+    atol = rtol * bnrm2
+    ptol = bnrm2 * min(1.0, atol / bnrm2)
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    r = b - matvec(x) if x.any() else b.copy()
+    if np.linalg.norm(r) < atol:
+        return x, 0
+    eps = np.finfo(float).eps
+    lartg = get_lapack_funcs("lartg", dtype=x.dtype)
+    restart = min(restart, b.size)
+    v = np.empty((restart + 1, b.size))
+    h = np.zeros((restart, restart + 1))
+    givens = np.zeros((restart, 2))
+    s = np.zeros(restart + 1)
+    v[0] = r
+    s[0] = np.linalg.norm(v[0])
+    v[0] *= 1 / s[0]
+    presid = np.inf
+    for col in range(restart):
+        w = matvec(v[col])
+        # modified Gram-Schmidt; h holds the Hessenberg matrix transposed
+        h0 = np.linalg.norm(w)
+        for k in range(col + 1):
+            tmp = np.dot(v[k], w)
+            h[col, k] = tmp
+            w -= tmp * v[k]
+        h1 = np.linalg.norm(w)
+        h[col, col + 1] = h1
+        v[col + 1] = w
+        breakdown = h1 <= eps * h0      # the Krylov space holds the answer
+        if breakdown:
+            h[col, col + 1] = 0
+        else:
+            v[col + 1] *= 1 / h1
+        for k in range(col):
+            c, sn = givens[k]
+            n0, n1 = h[col, [k, k + 1]]
+            h[col, [k, k + 1]] = [c * n0 + sn * n1, -sn * n0 + c * n1]
+        c, sn, mag = lartg(h[col, col], h[col, col + 1])
+        givens[col] = [c, sn]
+        h[col, [col, col + 1]] = mag, 0
+        tmp = -sn * s[col]
+        s[[col, col + 1]] = [c * s[col], tmp]
+        presid = np.abs(tmp)
+        callback(presid / bnrm2)
+        if presid <= ptol or breakdown:
+            break
+    # back substitution on the triangular factor, pseudo-solving a singular
+    # last pivot
+    if h[col, col] == 0:
+        s[col] = 0
+    y = s[:col + 1].copy()
+    for k in range(col, 0, -1):
+        if y[k] != 0:
+            y[k] /= h[k, k]
+            tmp = y[k]
+            y[:k] -= tmp * h[k, :k]
+    if y[0] != 0:
+        y[0] /= h[0, 0]
+    x += y @ v[:col + 1]
+    return x, 0 if presid <= ptol else 1
+
+
 class LinearSolve:
     """Lagged-factor solve of a sequence of slowly changing systems.
 
@@ -319,6 +402,15 @@ class LinearSolve:
     right-hand side, and the acceptance bounds, the residual check and
     the fallbacks are those above.  The systems of one ``LinearSolve``
     therefore all have one size.
+
+    The cycle is :func:`_gmres`, which reports success from the Arnoldi
+    estimate of the preconditioned residual, without the product with the
+    answer by which scipy's ``gmres`` checks the true one.  Acceptance is
+    unchanged by it: an answer is kept when ``info`` is 0 or the last
+    estimate is at most ``REDUCED_ACCEPT``, and an estimate that meets
+    ``REDUCED_RTOL`` is below ``REDUCED_ACCEPT`` either way; the two tests
+    could differ only for a true residual below ``REDUCED_RTOL`` with an
+    estimate above ``REDUCED_ACCEPT``, a hundred times larger.
     """
 
     def __init__(self, restart):
@@ -373,10 +465,7 @@ class LinearSolve:
         # left preconditioning spelled out, so that GMRES tests M^-1 r,
         # which approximates the error: the true residual of the reduced
         # system has a roundoff floor that grows with its condition number
-        n = rhs.size
         solve = self._precond
-        op = spla.LinearOperator((n, n), matvec=lambda v: solve(apply(v)),
-                                 dtype=float)
         pr_norm = np.inf    # GMRES's estimate of it, relative, at its last step
 
         def count(value):
@@ -386,10 +475,9 @@ class LinearSolve:
 
         # the target stays relative to |M^-1 rhs|: the guess only shortens
         # the way to it
-        x, info = spla.gmres(op, solve(rhs), x0=self._guess,
-                             rtol=REDUCED_RTOL, restart=self.restart,
-                             maxiter=1, callback=count,
-                             callback_type="pr_norm")
+        x, info = _gmres(lambda v: solve(apply(v)), solve(rhs),
+                         x0=self._guess, rtol=REDUCED_RTOL,
+                         restart=self.restart, callback=count)
         return x if info == 0 or pr_norm <= REDUCED_ACCEPT else None
 
 
@@ -453,6 +541,7 @@ class StepSolver:
         self.mesh = mesh
         self.dofs = ops.FaceDofMap(mesh)
         self.grad = ops.pressure_gradient_matrix(mesh, self.dofs)
+        self.grad_t = self.grad.T       # CSC views sharing the CSR data
         self.div_c = ops.divergence_constraint_matrix(mesh, self.dofs)
         self.cell_vol = mesh.cell_volumes.ravel()
         self.dual_vol = self.dofs.pack([mesh.dual_volumes(i)
@@ -472,8 +561,9 @@ class StepSolver:
             self.momentum_pattern = ops._Pattern()
         else:
             self.curl = _stream_curl_matrix(mesh, self.dofs)
+            self.curl_t = self.curl.T
             self.weight = sp.diags(self.dual_vol)
-            gw = self.grad.T @ self.weight @ self.grad
+            gw = self.grad_t @ self.weight @ self.grad
             # G 1 = 0: G^T W G is singular along the constants only, and
             # every right-hand side G^T W r sums to zero, so fixing one cell
             # (identity row and column) leaves the other rows exact
@@ -516,25 +606,27 @@ class StepSolver:
 
     def _reduced(self, apply, assemble, b, linear_tol, stats):
         """2d: the reduced stream-function system, then the pressure."""
-        curl, weight = self.curl, self.weight
+        curl, curl_t, w = self.curl, self.curl_t, self.dual_vol
 
+        # W is applied to vectors elementwise; as a DIA product it would add
+        # the same d * x to zeros
         def apply_reduced(psi):
-            return curl.T @ (weight @ apply(curl @ psi))
+            return curl_t @ (w * apply(curl @ psi))
 
         def factor_reduced():
             # A and the CSR product are freed before SuperLU allocates
-            lu = _splu((curl.T @ (weight @ (assemble() @ curl))).tocsc(),
+            lu = _splu((curl_t @ (self.weight @ (assemble() @ curl))).tocsc(),
                        "reduced momentum system", stats, symmetric_pattern=True)
             return lu.solve
 
         def recover(psi):
             u_vec = curl @ psi
             Au = apply(u_vec)
-            p_vec = self._recover_pressure(self.grad.T @ (weight @ (b - Au)))
+            p_vec = self._recover_pressure(self.grad_t @ (w * (b - Au)))
             return u_vec, p_vec, self._residual(Au, u_vec, p_vec, b)
 
         return self.linear.solve(apply_reduced, factor_reduced,
-                                 curl.T @ (weight @ b), recover, linear_tol,
+                                 curl_t @ (w * b), recover, linear_tol,
                                  stats)
 
     def _saddle(self, apply, assemble, b, rho_dual_new, mu_t, dt, linear_tol,

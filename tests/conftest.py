@@ -63,14 +63,18 @@ class SpluFault:
         return self.real(*args, **kwargs)
 
 
+# monkeypatch target of the momentum GMRES cycle
+GMRES = "macflow.solver._gmres"
+
+
 class KrylovStall:
-    """Stand-in for a ``scipy.sparse.linalg`` Krylov solver that counts its
-    calls and, on calls ``stall_from`` to ``stall_to`` (1-based, inclusive;
-    None leaves that end open, and ``stall_from=None`` never stalls),
-    stagnates: it returns an unconverged iterate (all ones) with ``info``,
-    by default positive as from a solver that ran out of iterations; 0
-    reports a wrong iterate as converged.  ``kwargs`` holds the keyword
-    arguments of every call."""
+    """Stand-in for a Krylov solver (``scipy.sparse.linalg.bicgstab`` or
+    ``macflow.solver._gmres``) that counts its calls and, on calls
+    ``stall_from`` to ``stall_to`` (1-based, inclusive; None leaves that
+    end open, and ``stall_from=None`` never stalls), stagnates: it returns
+    an unconverged iterate (all ones) with ``info``, by default positive as
+    from a solver that ran out of iterations; 0 reports a wrong iterate as
+    converged.  ``kwargs`` holds the keyword arguments of every call."""
 
     def __init__(self, real, stall_from=None, stall_to=None, info=1):
         self.real = real

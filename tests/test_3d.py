@@ -7,16 +7,16 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import (KrylovStall, SpluFault, assert_matches_direct_solve,
-                      state_at, warm_started_solve)
+from conftest import (GMRES, KrylovStall, SpluFault,
+                      assert_matches_direct_solve, state_at, warm_started_solve)
 from macflow import operators as ops
 from macflow.fields import CellScalarField, VelocityField, norm_h1
 from macflow.mesh import AxisPartition, build_mesh
 from macflow.problems import Problem, linear_viscosity
 from macflow.solver import (LinearSolve, LinearSolveError, SolverConfig,
                             SolverError, StepSolver, StepStats,
-                            advance_timestep, initial_state, run_simulation,
-                            transport_solve)
+                            _gmres, advance_timestep, initial_state,
+                            run_simulation, transport_solve)
 from macflow.verification import check_dualities
 
 
@@ -191,11 +191,12 @@ class TestBlockPreconditionedSaddle:
         self._solve(solver, self._system(mesh, rng), stats)
         system = self._system(mesh, rng)
         lu_calls = SpluFault(spla.splu)
+        stall = KrylovStall(_gmres, stall_from=1, stall_to=1, info=info)
         monkeypatch.setattr(spla, "splu", lu_calls)
-        monkeypatch.setattr(spla, "gmres",
-                            KrylovStall(spla.gmres, stall_from=1, stall_to=1,
-                                        info=info))
+        monkeypatch.setattr(GMRES, stall)
         u, p, res = self._solve(solver, system, stats)
+        # the held pair stalls; the fresh pair answers
+        assert stall.calls == 2
         assert lu_calls.calls == 2 and stats.factorizations == 4
         assert res <= 1e-9
         monkeypatch.undo()
@@ -208,9 +209,9 @@ class TestBlockPreconditionedSaddle:
         self._solve(solver, self._system(mesh, rng), stats)
         system = self._system(mesh, rng)
         lu_calls = SpluFault(spla.splu)
-        stall = KrylovStall(spla.gmres, stall_from=1)
+        stall = KrylovStall(_gmres, stall_from=1)
         monkeypatch.setattr(spla, "splu", lu_calls)
-        monkeypatch.setattr(spla, "gmres", stall)
+        monkeypatch.setattr(GMRES, stall)
         u, p, res = self._solve(solver, system, stats)
         # the held pair, then the fresh pair stall; two block LUs and the
         # saddle LU follow
@@ -264,31 +265,33 @@ class TestBlockPreconditionedSaddle:
         stats = StepStats()
         self._solve(solver, self._system(mesh, rng), stats)
         fault = SpluFault(spla.splu, fail_from=3)
+        stall = KrylovStall(_gmres, stall_from=1)
         monkeypatch.setattr(spla, "splu", fault)
-        monkeypatch.setattr(spla, "gmres", KrylovStall(spla.gmres, stall_from=1))
+        monkeypatch.setattr(GMRES, stall)
         with pytest.raises(LinearSolveError, match="momentum saddle system"):
             self._solve(solver, self._system(mesh, rng), stats)
-        assert fault.calls == 3
+        assert fault.calls == 3 and stall.calls == 2
 
     def test_run_names_failing_step(self, monkeypatch):
         problem = stirred_problem(build_mesh([AxisPartition.uniform(0, 1, 4)] * 3))
-        real, real_gmres = spla.splu, spla.gmres
+        real = spla.splu
         one_step = SpluFault(real)
-        one_step_gmres = KrylovStall(real_gmres)
+        one_step_gmres = KrylovStall(_gmres)
         monkeypatch.setattr(spla, "splu", one_step)
-        monkeypatch.setattr(spla, "gmres", one_step_gmres)
+        monkeypatch.setattr(GMRES, one_step_gmres)
         run_simulation(problem, SolverConfig(dt=0.02, t_end=0.02))
+        assert one_step.calls == 2 and one_step_gmres.calls >= 1
         # from step 2 on GMRES stagnates, which refactors both blocks and
         # then reaches the direct saddle LU; fail at that LU
-        monkeypatch.setattr(spla, "gmres",
-                            KrylovStall(real_gmres,
-                                        stall_from=one_step_gmres.calls + 1))
+        stall = KrylovStall(_gmres, stall_from=one_step_gmres.calls + 1)
+        monkeypatch.setattr(GMRES, stall)
         fault = SpluFault(real, fail_from=one_step.calls + 3)
         monkeypatch.setattr(spla, "splu", fault)
         with pytest.raises(SolverError) as info:
             run_simulation(problem, SolverConfig(dt=0.02, t_end=0.06))
         assert info.value.step == 2
         assert fault.calls == one_step.calls + 3
+        assert stall.calls == one_step_gmres.calls + 2
 
     def test_blocks_factored_in_first_step_only(self):
         mesh = stretched_mesh(6)
@@ -315,15 +318,14 @@ class TestBlockPreconditionedSaddle:
         state = initial_state(mesh, problem.rho0, problem.u0)
         f = problem.forcing_faces(cfg.dt, cfg)
         ref, _ = advance_timestep(state, cfg, problem.mu_law, f)
-        real = spla.gmres
         calls = []
 
-        def loose(A, b, **kwargs):
+        def loose(matvec, b, **kwargs):
             calls.append(1)
-            x, _ = real(A, b, **kwargs)
+            x, _ = _gmres(matvec, b, **kwargs)
             return x * (1.0 + 1e-8), 0
 
-        monkeypatch.setattr(spla, "gmres", loose)
+        monkeypatch.setattr(GMRES, loose)
         solver = StepSolver(mesh)
         new, stats = advance_timestep(state, cfg, problem.mu_law, f, solver)
         # every iteration of the first attempt used GMRES and ran into the
@@ -352,8 +354,8 @@ class TestBlockPreconditionedSaddle:
         # a wrong iterate reported as converged, rejected by the residual
         # check; GMRES with the fresh blocks must start from the answer to
         # the first system
-        stall = KrylovStall(spla.gmres, stall_from=1, stall_to=1, info=0)
-        monkeypatch.setattr(spla, "gmres", stall)
+        stall = KrylovStall(_gmres, stall_from=1, stall_to=1, info=0)
+        monkeypatch.setattr(GMRES, stall)
         _, _, res = self._solve(
             solver, self._system(mesh, rng, near=first[1]),
             StepStats())

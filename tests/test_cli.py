@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from conftest import KrylovStall, SpluFault
+from conftest import GMRES, KrylovStall, SpluFault
 from macflow.cli import main
 from macflow.config import ConfigError, load_config
 from macflow.mesh import AxisPartition, build_mesh, mesh_metrics
 from macflow.problems import make_problem
+from macflow.solver import _gmres
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -317,45 +318,47 @@ class TestRunCommand:
 
     def test_factorization_failure_names_step(self, tmp_path, monkeypatch,
                                               capsys):
-        real, real_gmres = spla.splu, spla.gmres
+        real = spla.splu
         one_step = SpluFault(real)
-        one_step_gmres = KrylovStall(real_gmres)
+        one_step_gmres = KrylovStall(_gmres)
         monkeypatch.setattr(spla, "splu", one_step)
-        monkeypatch.setattr(spla, "gmres", one_step_gmres)
+        monkeypatch.setattr(GMRES, one_step_gmres)
         cfg = small_run_config(tmp_path, solver={"dt": 0.1, "t_end": 0.1})
         assert main(["run", "--config", cfg,
                      "--output-dir", str(tmp_path / "one")]) == 0
+        assert one_step.calls >= 1
         # from step 2 on GMRES stagnates, which forces a refactorization;
-        # fail at that first factorization after step 1 of a two-step run
-        monkeypatch.setattr(spla, "gmres",
-                            KrylovStall(real_gmres,
-                                        stall_from=one_step_gmres.calls + 1))
-        monkeypatch.setattr(spla, "splu",
-                            SpluFault(real, fail_from=one_step.calls + 1))
+        # fail at that first factorization after step 1 of a two-step run;
+        # one_step_gmres only counts the calls of step 1, which may be none
+        stall = KrylovStall(_gmres, stall_from=one_step_gmres.calls + 1)
+        fault = SpluFault(real, fail_from=one_step.calls + 1)
+        monkeypatch.setattr(GMRES, stall)
+        monkeypatch.setattr(spla, "splu", fault)
         cfg = small_run_config(tmp_path, solver={"dt": 0.1, "t_end": 0.2})
         code = main(["run", "--config", cfg,
                      "--output-dir", str(tmp_path / "two")])
         assert code == 3
+        assert stall.calls == one_step_gmres.calls + 1
+        assert fault.calls == one_step.calls + 1
         assert "solver failure at step 2" in capsys.readouterr().err
 
     def test_3d_saddle_failure_names_step(self, tmp_path, monkeypatch,
                                           capsys):
         # in 3d a stalled GMRES refactors both preconditioner blocks and
         # then falls back to the direct saddle LU; that LU fails in step 2
-        real, real_gmres = spla.splu, spla.gmres
+        real = spla.splu
         one_step = SpluFault(real)
-        one_step_gmres = KrylovStall(real_gmres)
+        one_step_gmres = KrylovStall(_gmres)
         monkeypatch.setattr(spla, "splu", one_step)
-        monkeypatch.setattr(spla, "gmres", one_step_gmres)
+        monkeypatch.setattr(GMRES, one_step_gmres)
         mesh = {"axes": [{"n": 3, "lo": 0.0, "hi": 1.0}] * 3}
         cfg = small_run_config(tmp_path, mesh=mesh,
                                solver={"dt": 0.1, "t_end": 0.1})
         assert main(["run", "--config", cfg,
                      "--output-dir", str(tmp_path / "one")]) == 0
         assert one_step.calls == 2 and one_step_gmres.calls >= 1
-        monkeypatch.setattr(spla, "gmres",
-                            KrylovStall(real_gmres,
-                                        stall_from=one_step_gmres.calls + 1))
+        stall = KrylovStall(_gmres, stall_from=one_step_gmres.calls + 1)
+        monkeypatch.setattr(GMRES, stall)
         fault = SpluFault(real, fail_from=one_step.calls + 3)
         monkeypatch.setattr(spla, "splu", fault)
         cfg = small_run_config(tmp_path, mesh=mesh,
@@ -364,14 +367,16 @@ class TestRunCommand:
                      "--output-dir", str(tmp_path / "two")])
         assert code == 3
         assert fault.calls == one_step.calls + 3
+        assert stall.calls == one_step_gmres.calls + 2
         assert "solver failure at step 2" in capsys.readouterr().err
 
     def test_setup_factorization_failure_names_step_zero(self, tmp_path,
                                                          monkeypatch, capsys):
-        monkeypatch.setattr(spla, "splu", SpluFault(spla.splu, fail_from=1))
+        fault = SpluFault(spla.splu, fail_from=1)
+        monkeypatch.setattr(spla, "splu", fault)
         cfg = small_run_config(tmp_path, solver={"dt": 0.1, "t_end": 0.1})
         code = main(["run", "--config", cfg, "--output-dir", str(tmp_path)])
-        assert code == 3
+        assert code == 3 and fault.calls == 1
         assert "solver failure at step 0" in capsys.readouterr().err
 
     def test_bit_identical_reruns(self, tmp_path):

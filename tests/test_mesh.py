@@ -76,6 +76,63 @@ class TestPartitions:
                               AxisPartition.uniform(0, 1, 4).breakpoints)
 
 
+class TestStoredFaceMetadata:
+    """Face metadata is computed once at construction; the accessors return
+    the stored values, and their arrays are read-only."""
+
+    @pytest.fixture
+    def mesh(self):
+        return build_mesh([AxisPartition.geometric(0.0, 1.0, 3, 2.0),
+                           AxisPartition.geometric(0.0, 2.0, 4, 0.5),
+                           AxisPartition.geometric(-1.0, 1.0, 5, 3.0)])
+
+    def test_values_match_their_formulas(self, mesh):
+        for i in range(3):
+            shape = tuple(mesh.n[a] + 1 if a == i else mesh.n[a]
+                          for a in range(3))
+            assert mesh.faces_shape(i) == shape
+            assert mesh.n_faces(i) == int(np.prod(shape))
+            mask = np.zeros(shape, dtype=bool)
+            index = [slice(None)] * 3
+            index[i] = slice(1, -1)
+            mask[tuple(index)] = True
+            assert mesh.interior_mask(i).dtype == bool
+            assert np.array_equal(mesh.interior_mask(i), mask)
+            for j in range(3):
+                if j == i:
+                    assert mesh.pair_volumes(i, j) is mesh.cell_volumes
+                    continue
+                widths = [mesh.dual_widths[a] if a in (i, j) else mesh.widths[a]
+                          for a in range(3)]
+                vols = np.multiply.outer(np.multiply.outer(widths[0], widths[1]),
+                                         widths[2])
+                assert np.array_equal(mesh.pair_volumes(i, j), vols)
+
+    def test_arrays_are_read_only(self, mesh):
+        for i in range(3):
+            with pytest.raises(ValueError):
+                mesh.interior_mask(i)[0] = True
+            for j in range(3):
+                with pytest.raises(ValueError):
+                    mesh.pair_volumes(i, j)[0] = 1.0
+
+    def test_one_array_per_unordered_pair(self, mesh):
+        for i in range(3):
+            for j in range(3):
+                assert mesh.pair_volumes(i, j) is mesh.pair_volumes(j, i)
+
+    def test_velocity_field_rejects_nonzero_exterior_entry(self, mesh):
+        from macflow.fields import FieldError, VelocityField
+        for i in range(3):
+            for plane in (0, -1):       # the two boundary planes of axis i
+                comps = [np.zeros(mesh.faces_shape(a)) for a in range(3)]
+                index = [1] * 3
+                index[i] = plane
+                comps[i][tuple(index)] = 1.0
+                with pytest.raises(FieldError, match="exterior"):
+                    VelocityField(mesh, comps)
+
+
 class TestMetrics:
     def test_uniform_eta(self, mesh22):
         assert mesh_metrics(mesh22).eta == pytest.approx(1.0)

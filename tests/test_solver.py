@@ -9,9 +9,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import macflow
-from conftest import (KrylovStall, SpluFault, assert_matches_direct_solve,
-                      random_cells, random_velocity, state_at,
-                      warm_started_solve)
+from conftest import (GMRES, KrylovStall, SpluFault,
+                      assert_matches_direct_solve, random_cells,
+                      random_velocity, state_at, warm_started_solve)
 from macflow import operators as ops
 from macflow.config import load_config
 from macflow.fields import CellScalarField, VelocityField
@@ -20,7 +20,7 @@ from macflow.problems import make_problem
 from macflow.solver import (TRANSPORT_RTOL, LinearSolveError,
                             PicardDivergenceError, SolverConfig, SolverError,
                             StepSolver, StepStats, TimeState,
-                            TransportSolveError, _stream_curl_matrix,
+                            TransportSolveError, _gmres, _stream_curl_matrix,
                             advance_timestep, initial_state, run_simulation,
                             transport_solve)
 from macflow.verification import (dual_mass_balance_residual,
@@ -103,11 +103,11 @@ class TestTransport:
         expected = transport_solve(rho, u, 0.05, stats=krylov_stats)
         assert krylov_stats.factorizations == 0
         assert krylov_stats.krylov_iterations > 0
-        monkeypatch.setattr(spla, "bicgstab",
-                            KrylovStall(spla.bicgstab, stall_from=1))
+        stall = KrylovStall(spla.bicgstab, stall_from=1)
+        monkeypatch.setattr(spla, "bicgstab", stall)
         stats = StepStats()
         out = transport_solve(rho, u, 0.05, stats=stats)
-        assert stats.factorizations == 1
+        assert stall.calls == 1 and stats.factorizations == 1
         assert np.allclose(out.values, expected.values, rtol=0, atol=1e-13)
 
     def test_concentrated_residual_falls_back(self, rng, monkeypatch):
@@ -459,14 +459,14 @@ class TestTypedErrors:
 
     def test_transport_failure(self, mesh33, rng, monkeypatch):
         # a stagnating BiCGSTAB falls back to the direct factorization
-        monkeypatch.setattr(spla, "bicgstab",
-                            KrylovStall(spla.bicgstab, stall_from=1))
+        stall = KrylovStall(spla.bicgstab, stall_from=1)
+        monkeypatch.setattr(spla, "bicgstab", stall)
         fault = SpluFault(spla.splu, fail_from=1)
         monkeypatch.setattr(spla, "splu", fault)
         with pytest.raises(TransportSolveError) as info:
             transport_solve(random_cells(mesh33, rng, 0.5, 2.0),
                             random_velocity(mesh33, rng), 0.05)
-        assert fault.calls == 1
+        assert stall.calls == 1 and fault.calls == 1
         est = info.value.condition_estimate
         assert est is not None and np.isfinite(est) and est >= 1.0
 
@@ -476,10 +476,12 @@ class TestTypedErrors:
         rho = random_cells(mesh33, rng, 1.0, 2.0)
         mu_t = ops.viscosity_tensor(rho, lambda r: 0.1 + 0.1 * r)
         fluxes = ops.mass_fluxes(rho, random_velocity(mesh33, rng))
-        monkeypatch.setattr(spla, "splu", SpluFault(spla.splu, fail_from=1))
+        fault = SpluFault(spla.splu, fail_from=1)
+        monkeypatch.setattr(spla, "splu", fault)
         with pytest.raises(LinearSolveError):
             solver.momentum_solve(state_at(rho, VelocityField.zero(mesh33)),
                                   fluxes, mu_t, None, 0.05)
+        assert fault.calls == 1
 
     @staticmethod
     def _momentum_system(mesh, rng):
@@ -521,22 +523,24 @@ class TestTypedErrors:
     def test_run_names_failing_step(self, monkeypatch):
         mesh = build_mesh([AxisPartition.uniform(0, 1, 4)] * 2)
         problem = make_problem("mms_b", mesh)
-        real, real_gmres = spla.splu, spla.gmres
+        real = spla.splu
         one_step = SpluFault(real)
-        one_step_gmres = KrylovStall(real_gmres)
+        one_step_gmres = KrylovStall(_gmres)
         monkeypatch.setattr(spla, "splu", one_step)
-        monkeypatch.setattr(spla, "gmres", one_step_gmres)
+        monkeypatch.setattr(GMRES, one_step_gmres)
         run_simulation(problem, SolverConfig(dt=0.02, t_end=0.02))
+        assert one_step.calls >= 1 and one_step_gmres.calls >= 1
         # from step 2 on GMRES stagnates, which forces a refactorization of
         # the reduced system; fail at that first factorization after step 1
-        monkeypatch.setattr(spla, "gmres",
-                            KrylovStall(real_gmres,
-                                        stall_from=one_step_gmres.calls + 1))
-        monkeypatch.setattr(spla, "splu",
-                            SpluFault(real, fail_from=one_step.calls + 1))
+        stall = KrylovStall(_gmres, stall_from=one_step_gmres.calls + 1)
+        fault = SpluFault(real, fail_from=one_step.calls + 1)
+        monkeypatch.setattr(GMRES, stall)
+        monkeypatch.setattr(spla, "splu", fault)
         with pytest.raises(SolverError) as info:
             run_simulation(problem, SolverConfig(dt=0.02, t_end=0.06))
         assert info.value.step == 2
+        assert stall.calls == one_step_gmres.calls + 1
+        assert fault.calls == one_step.calls + 1
 
 
 class TestLaggedFactor:
@@ -566,13 +570,14 @@ class TestLaggedFactor:
         assert stats.factorizations == 1
         prev, fluxes, mu_t, f = self._system(mesh, rng)
         lu_calls = SpluFault(spla.splu)
+        stall = KrylovStall(_gmres, stall_from=1, stall_to=1, info=info)
         monkeypatch.setattr(spla, "splu", lu_calls)
-        monkeypatch.setattr(spla, "gmres",
-                            KrylovStall(spla.gmres, stall_from=1, stall_to=1,
-                                        info=info))
+        monkeypatch.setattr(GMRES, stall)
         linear_tol = 1e-9
         u, p, res = solver.momentum_solve(prev, fluxes, mu_t, f, 0.05,
                                           linear_tol=linear_tol, stats=stats)
+        # without direct() the fresh factor answers with no second GMRES
+        assert stall.calls == 1
         assert lu_calls.calls == 1 and stats.factorizations == 2
         assert res <= linear_tol
         monkeypatch.undo()
@@ -606,15 +611,14 @@ class TestLaggedFactor:
         state = initial_state(mesh, problem.rho0, problem.u0)
         f = problem.forcing_faces(cfg.dt, cfg)
         ref, _ = advance_timestep(state, cfg, problem.mu_law, f)
-        real = spla.gmres
         calls = []
 
-        def loose(A, b, **kwargs):
+        def loose(matvec, b, **kwargs):
             calls.append(1)
-            x, _ = real(A, b, **kwargs)
+            x, _ = _gmres(matvec, b, **kwargs)
             return x * (1.0 + 1e-8), 0
 
-        monkeypatch.setattr(spla, "gmres", loose)
+        monkeypatch.setattr(GMRES, loose)
         solver = StepSolver(mesh)
         new, stats = advance_timestep(state, cfg, problem.mu_law, f, solver)
         # the first attempt used GMRES after its first iteration and ran
@@ -628,6 +632,76 @@ class TestLaggedFactor:
         for i in range(2):
             assert np.allclose(new.u.components[i], ref.u.components[i],
                                rtol=0, atol=1e-9)
+
+
+class TestGmres:
+    """macflow's GMRES cycle against scipy's ``gmres`` with ``maxiter=1``, on
+    a nonsymmetric system left-preconditioned by the LU of a perturbed copy.
+    The two are compared to roundoff, not bytes: scipy is not pinned."""
+
+    N = 80
+    RTOL = 1e-12
+
+    @pytest.fixture
+    def system(self, rng):
+        n = self.N
+        A = (sp.random(n, n, density=0.1, random_state=rng, format="csr")
+             + sp.diags(rng.uniform(2.0, 4.0, n)))
+        lu = spla.splu((A + 0.01 * sp.random(n, n, density=0.05,
+                                             random_state=rng)).tocsc())
+        products = []
+
+        def matvec(v):
+            products.append(1)
+            return lu.solve(A @ v)
+
+        exact = rng.uniform(-1.0, 1.0, n)
+        return matvec, lu.solve(A @ exact), exact, products
+
+    @staticmethod
+    def _run(solve, matvec, b, x0, restart, **kwargs):
+        estimates = []
+        x, info = solve(matvec, b, x0=x0, rtol=TestGmres.RTOL,
+                        restart=restart, callback=estimates.append, **kwargs)
+        return x, info, estimates
+
+    @staticmethod
+    def _scipy(matvec, b, **kwargs):
+        op = spla.LinearOperator((b.size, b.size), matvec=matvec, dtype=float)
+        return spla.gmres(op, b, maxiter=1, callback_type="pr_norm", **kwargs)
+
+    @pytest.mark.parametrize("start", ["zero", "nonzero"])
+    def test_matches_scipy_and_spares_the_trailing_product(self, system, rng,
+                                                           start):
+        matvec, b, exact, products = system
+        x0 = None if start == "zero" else rng.uniform(-1.0, 1.0, b.size)
+        kept = None if x0 is None else x0.copy()
+        x, info, estimates = self._run(_gmres, matvec, b, x0, 40)
+        assert info == 0 and estimates[-1] <= self.RTOL
+        assert x0 is None or np.array_equal(x0, kept)
+        # one product per iteration, and one for the initial residual of a
+        # nonzero start; none for the answer
+        assert len(products) == len(estimates) + (x0 is not None)
+        ref, ref_info, ref_estimates = self._run(self._scipy, matvec, b, x0,
+                                                 40)
+        assert ref_info == 0 and len(ref_estimates) == len(estimates)
+        assert np.allclose(ref_estimates, estimates, rtol=1e-6, atol=0)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(x - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+    def test_solved_start_returns_without_iterating(self, system):
+        matvec, b, exact, products = system
+        # the preconditioned residual of the exact answer is roundoff,
+        # far below RTOL |b|
+        x, info, estimates = self._run(_gmres, matvec, b, exact, 40)
+        assert info == 0 and estimates == [] and len(products) == 1
+        assert np.array_equal(x, exact) and x is not exact
+
+    def test_too_small_restart_reports_failure(self, system):
+        matvec, b, _, products = system
+        x, info, estimates = self._run(_gmres, matvec, b, None, 2)
+        assert info == 1 and len(estimates) == 2 and len(products) == 2
+        assert estimates[-1] > self.RTOL
 
 
 class TestWarmStart:
@@ -653,8 +727,8 @@ class TestWarmStart:
         first = solve(systems[0])
         # a wrong iterate reported as converged; the residual check rejects
         # it and the fresh factor answers
-        stall = KrylovStall(spla.gmres, stall_from=1, stall_to=1, info=0)
-        monkeypatch.setattr(spla, "gmres", stall)
+        stall = KrylovStall(_gmres, stall_from=1, stall_to=1, info=0)
+        monkeypatch.setattr(GMRES, stall)
         second = solve(systems[1])
         solve(systems[2])
         assert stall.calls == 2
