@@ -29,11 +29,13 @@ solve.  Every GMRES solve starts from the last answer the policy accepted,
 the previous Picard iterate or the last one of the previous step (Saad,
 Iterative Methods for Sparse Linear Systems, 2nd ed., 2003, ch. 6); that
 changes only GMRES's starting point, never its target, the residual check
-or the fallbacks.  GMRES is macflow's own cycle (:func:`_gmres`), scipy's
-``gmres`` operation for operation except that it does not apply the
-preconditioned operator once more to the answer: scipy needs that product
-only for its ``info``, and acceptance does not need it (see
-:class:`LinearSolve`).  Factors are rebuilt only when GMRES misses its
+or the fallbacks.  No SuperLU factor relaxes its supernodes (see
+:func:`_splu`): scipy's default stored 1.4-2x the true fill of the 3d
+factors in explicit zeros, and every triangular solve walks them.  GMRES
+is macflow's own cycle (:func:`_gmres`), scipy's ``gmres`` operation for
+operation except that it does not apply the preconditioned operator once
+more to the answer: scipy needs that product only for its ``info``, and
+acceptance does not need it (see :class:`LinearSolve`).  Factors are rebuilt only when GMRES misses its
 target in one cycle or the residual check of the original equations fails;
 that check always applies the momentum operator matrix-free.  In 3d, when the
 fresh factors fail too, the saddle system is assembled afresh, factored
@@ -225,14 +227,18 @@ class StepStats:
     """Outcome of one step: Picard iterations, the last residuals and the
     residual history of the attempt that returned, plus the work of all its
     linear solves, which ``transport_solve`` and ``StepSolver.momentum_solve``
-    add to the two counts."""
+    add to the counts."""
     iterations: int = 0
     mass_residual: float = float("nan")
     momentum_residual: float = float("nan")
     factorizations: int = 0        # SuperLU factorizations
+    factor_nnz: int = 0            # entries SuperLU stores for them
     krylov_iterations: int = 0     # GMRES and BiCGSTAB iterations
     # max(mass, momentum) residual after each Picard iteration
     picard_residuals: list = field(default_factory=list)
+
+
+SUPERNODE_RELAX = 1    # SuperLU relaxes no supernode: no stored zeros
 
 
 def _splu(matrix, what, stats=None, symmetric_pattern=False):
@@ -240,15 +246,18 @@ def _splu(matrix, what, stats=None, symmetric_pattern=False):
     # MMD on the A^T+A pattern beats COLAMD on the 2d reduced systems, the
     # pinned pressure recovery system, the 3d velocity block and the
     # bordered pressure Laplacian, but degrades badly on the indefinite
-    # saddle matrix, which keeps COLAMD; on a dense border it is slow to
-    # order, so the 2d pressure recovery pins a cell instead
+    # saddle matrix, which keeps COLAMD, and is slow to order on a dense
+    # border, so the 2d pressure recovery pins a cell.  No factor relaxes its
+    # supernodes: scipy's default pads the 3d factors to 1.4-2x their fill
+    # with zeros that every triangular solve walks
     kwargs = {"permc_spec": "MMD_AT_PLUS_A"} if symmetric_pattern else {}
     try:
-        lu = spla.splu(matrix.tocsc(), **kwargs)
+        lu = spla.splu(matrix.tocsc(), relax=SUPERNODE_RELAX, **kwargs)
     except RuntimeError as exc:
         raise LinearSolveError(f"{what}: factorization failed: {exc}") from exc
     if stats is not None:
         stats.factorizations += 1
+        stats.factor_nnz += lu.nnz
     return lu
 
 

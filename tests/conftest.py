@@ -47,20 +47,34 @@ def state_at(rho, u):
 
 
 class SpluFault:
-    """Stand-in for ``scipy.sparse.linalg.splu`` that counts its calls and
-    raises RuntimeError, as SuperLU does on a singular matrix, from call
-    ``fail_from`` on (1-based; None never fails)."""
+    """Stand-in for ``scipy.sparse.linalg.splu`` that counts its calls,
+    keeps the keyword arguments and the factor of each call that returned
+    in ``factors``, and raises RuntimeError, as SuperLU does on a singular
+    matrix, from call ``fail_from`` on (1-based; None never fails)."""
 
     def __init__(self, real, fail_from=None):
         self.real = real
         self.fail_from = fail_from
         self.calls = 0
+        self.factors = []
 
     def __call__(self, *args, **kwargs):
         self.calls += 1
         if self.fail_from is not None and self.calls >= self.fail_from:
             raise RuntimeError("Factor is exactly singular")
-        return self.real(*args, **kwargs)
+        lu = self.real(*args, **kwargs)
+        self.factors.append((kwargs, lu))
+        return lu
+
+
+def true_fill(factors):
+    """The L and U entries summed over ``factors`` (``SpluFault.factors``),
+    after checking that each was ordered on the symmetric pattern and
+    stores exactly those entries, no zeros of relaxed supernodes."""
+    for kwargs, lu in factors:
+        assert kwargs.get("permc_spec") == "MMD_AT_PLUS_A"
+        assert lu.nnz == lu.L.nnz + lu.U.nnz
+    return sum(lu.L.nnz + lu.U.nnz for _, lu in factors)
 
 
 # monkeypatch target of the momentum GMRES cycle

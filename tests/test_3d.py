@@ -8,7 +8,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import (GMRES, KrylovStall, SpluFault,
-                      assert_matches_direct_solve, state_at, warm_started_solve)
+                      assert_matches_direct_solve, state_at, true_fill,
+                      warm_started_solve)
 from macflow import operators as ops
 from macflow.fields import CellScalarField, VelocityField, norm_h1
 from macflow.mesh import AxisPartition, build_mesh
@@ -307,6 +308,22 @@ class TestBlockPreconditionedSaddle:
             per_step.append(stats)
         assert [s.factorizations for s in per_step] == [2, 0, 0]
         assert all(s.krylov_iterations > 0 for s in per_step)
+
+    def test_blocks_stored_at_true_fill(self, monkeypatch):
+        # both held factors of a stirred step; with relaxed supernodes the
+        # velocity block stored 88,728 entries for 54,628
+        mesh = stretched_mesh(6)
+        problem = stirred_problem(mesh)
+        cfg = SolverConfig(dt=self.DT, t_end=self.DT)
+        state = initial_state(mesh, problem.rho0, problem.u0)
+        lu_calls = SpluFault(spla.splu)
+        monkeypatch.setattr(spla, "splu", lu_calls)
+        _, stats = advance_timestep(state, cfg, problem.mu_law,
+                                    problem.forcing_faces(cfg.dt, cfg),
+                                    StepSolver(mesh))
+        assert stats.factorizations == len(lu_calls.factors) == 2
+        fill = true_fill(lu_calls.factors)
+        assert stats.factor_nnz == fill
 
     def test_stalled_picard_loop_retries_with_direct_solves(self, monkeypatch):
         # GMRES answers within linear_tol that hold the Picard residual above

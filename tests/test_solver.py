@@ -11,7 +11,8 @@ import scipy.sparse.linalg as spla
 import macflow
 from conftest import (GMRES, KrylovStall, SpluFault,
                       assert_matches_direct_solve, random_cells,
-                      random_velocity, state_at, warm_started_solve)
+                      random_velocity, state_at, true_fill,
+                      warm_started_solve)
 from macflow import operators as ops
 from macflow.config import load_config
 from macflow.fields import CellScalarField, VelocityField
@@ -508,6 +509,8 @@ class TestTypedErrors:
     def test_non_finite_answer_reads_as_infinite_residual(self, mesh33, rng,
                                                           monkeypatch, dim):
         class NanLU:
+            nnz = 0
+
             def solve(self, rhs):
                 return np.full(rhs.shape, np.nan)
 
@@ -601,6 +604,24 @@ class TestLaggedFactor:
             per_step.append(stats)
         assert [s.factorizations for s in per_step] == [1, 0, 0]
         assert all(s.krylov_iterations > 0 for s in per_step)
+
+    def test_factors_stored_at_true_fill(self, mesh_stretched, monkeypatch):
+        # the pinned pressure recovery factor of the set-up and the reduced
+        # factor of the step; with relaxed supernodes the reduced factor
+        # stored 12,550 entries for 9,280
+        problem = make_problem("mms_b", mesh_stretched)
+        cfg = SolverConfig(dt=0.02, t_end=0.02)
+        state = initial_state(mesh_stretched, problem.rho0, problem.u0)
+        lu_calls = SpluFault(spla.splu)
+        monkeypatch.setattr(spla, "splu", lu_calls)
+        solver = StepSolver(mesh_stretched)
+        _, stats = advance_timestep(state, cfg, problem.mu_law,
+                                    problem.forcing_faces(cfg.dt, cfg), solver)
+        setup, step = lu_calls.factors[:1], lu_calls.factors[1:]
+        assert stats.factorizations == len(step) == 1
+        true_fill(setup)
+        fill = true_fill(step)
+        assert stats.factor_nnz == fill
 
     def test_stalled_picard_loop_retries_with_fresh_factors(self, monkeypatch):
         # GMRES answers within linear_tol that hold the Picard residual above
