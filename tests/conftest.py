@@ -107,6 +107,70 @@ class KrylovStall:
         return self.real(A, b, *args, **kwargs)
 
 
+# monkeypatch target of the transport solve of the Picard loop
+TRANSPORT = "macflow.solver.transport_solve"
+
+
+class TransportSpy:
+    """Stand-in for ``macflow.solver.transport_solve`` that keeps the
+    velocity of every call in ``velocities``."""
+
+    def __init__(self, real):
+        self.real = real
+        self.velocities = []
+
+    def __call__(self, rho_n, u, *args, **kwargs):
+        self.velocities.append(u)
+        return self.real(rho_n, u, *args, **kwargs)
+
+
+def same_velocity(u, v):
+    return all(np.array_equal(a, b) for a, b in zip(u.components,
+                                                     v.components))
+
+
+def extrapolated(u_n, u_before):
+    """``2 u_n - u_before``; building the field checks that its exterior
+    faces are zero."""
+    from macflow.fields import VelocityField
+    return VelocityField(u_n.mesh, [2.0 * a - b for a, b in
+                                    zip(u_n.components, u_before.components)])
+
+
+def picard_start_gain(problem, cfg, step):
+    """Runs ``problem`` under ``cfg`` for ``step - 1`` steps with one
+    ``StepSolver``, then takes step ``step`` twice from the same state: with
+    that solver, whose Picard loop starts from the extrapolated velocity,
+    and with a fresh one, which starts from the state's.  Checks that the
+    two converged states agree within ``1e3 max(picard_tol, linear_tol)``
+    relative to each field's largest entry, as the benchmark fingerprints
+    do, and returns the two first Picard residuals, own solver first."""
+    from macflow.solver import StepSolver, advance_timestep, initial_state
+
+    solver = StepSolver(problem.mesh)
+    state = initial_state(problem.mesh, problem.rho0, problem.u0)
+
+    def forcing(k):
+        if problem.forcing is None:
+            return None
+        return problem.forcing_faces(k * cfg.dt, cfg)
+
+    for k in range(1, step):
+        state, _ = advance_timestep(state, cfg, problem.mu_law, forcing(k),
+                                    solver)
+    runs = [advance_timestep(state, cfg, problem.mu_law, forcing(step), s)
+            for s in (solver, StepSolver(problem.mesh))]
+    (own, own_stats), (fresh, fresh_stats) = runs
+    assert own_stats.predicted and not fresh_stats.predicted
+    tol = 1e3 * max(cfg.picard_tol, cfg.linear_tol)
+    for a, b in ((own.rho.values, fresh.rho.values),
+                 (np.concatenate(own.u.components),
+                  np.concatenate(fresh.u.components)),
+                 (own.p.values, fresh.p.values)):
+        assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
+    return own_stats.picard_residuals[0], fresh_stats.picard_residuals[0]
+
+
 def warm_started_solve(problem, cfg):
     """Runs ``problem`` under ``cfg`` and returns the positional arguments
     and the answer ``(u, p, res)`` of its last momentum solve that GMRES

@@ -2,6 +2,7 @@
 prints one pass/fail line.  Shared heavy runs (Rayleigh-Taylor, the MMS-B
 reference study) live in module-scoped fixtures."""
 
+import csv
 import math
 import os
 import time
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from macflow import operators as ops
+from macflow.cli import main
 from macflow.config import load_config
 from macflow.convergence import ERROR_FLOOR, convergence_study
 from macflow.fields import CellScalarField, VelocityField
@@ -102,6 +104,31 @@ class TestCriterion2Inequalities:
                 f"poincare {report['poincare_ratio_max']:.6f} <= "
                 f"{mesh.diameter:.6f}, viscosity-bound violation "
                 f"{report['viscosity_bound_violation']:.2e}, 1000 trials in "
+                f"{elapsed:.1f}s")
+
+
+class TestCriteria1And2In3d:
+    def test_verify_on_anisotropic_stretched_3d(self, tmp_path):
+        # `macflow verify` at its default trial counts and its thresholds,
+        # those of 2d, on a mesh stretched differently along every axis
+        t0 = time.time()
+        code = main(["verify", "--config",
+                     os.path.join(CONFIGS, "verify-3d-stretched.json"),
+                     "--seed", str(RNG_SEED), "--output-dir", str(tmp_path)])
+        elapsed = time.time() - t0
+        with open(tmp_path / "verification.csv", newline="") as fh:
+            report = {row["check"]: float(row["value"])
+                      for row in csv.DictReader(fh)}
+        identities = ("div_grad_duality", "diffusion_duality",
+                      "convection_duality", "trilinear_two_path",
+                      "dual_mass_balance", "korn_identity",
+                      "h1_norm_gradient", "fortin_divergence_free",
+                      "fortin_commutes")
+        worst = max(report[name] for name in identities)
+        _report("criteria 1-2 in 3d (verify, stretched 8x6x10)",
+                code == 0 and elapsed < 30.0,
+                f"exit {code}, worst identity {worst:.2e} <= 1e-12, korn "
+                f"{report['korn_ratio_max']:.4f} <= sqrt(2), in "
                 f"{elapsed:.1f}s")
 
 

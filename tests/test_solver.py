@@ -1,4 +1,3 @@
-import json
 import os
 import subprocess
 import sys
@@ -9,10 +8,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import macflow
-from conftest import (GMRES, KrylovStall, SpluFault,
-                      assert_matches_direct_solve, random_cells,
-                      random_velocity, state_at, true_fill,
-                      warm_started_solve)
+from conftest import (GMRES, TRANSPORT, KrylovStall, SpluFault,
+                      TransportSpy, assert_matches_direct_solve, extrapolated,
+                      picard_start_gain, random_cells, random_velocity,
+                      same_velocity, state_at, true_fill, warm_started_solve)
 from macflow import operators as ops
 from macflow.config import load_config
 from macflow.fields import CellScalarField, VelocityField
@@ -432,12 +431,8 @@ class TestRunSimulation:
         tens of Picard iterations per step; every step must stay
         audit-clean, inside the initial density bounds and within the
         a-priori velocity estimates."""
-        with open(os.path.join(CONFIGS, "rayleigh-taylor.json")) as fh:
-            raw = json.load(fh)
-        raw["problem"]["params"].update(rho_heavy=1000.0, gravity=10.0,
-                                        amplitude=0.1)
-        raw["solver"].update(dt=0.2, t_end=0.4)
-        setup = load_config(raw)
+        setup = load_config(os.path.join(CONFIGS,
+                                         "rayleigh-taylor-stress.json"))
         problem = setup.problem
         lo, hi = initial_state(problem.mesh, problem.rho0,
                                problem.u0).rho_bounds
@@ -653,6 +648,17 @@ class TestLaggedFactor:
         for i in range(2):
             assert np.allclose(new.u.components[i], ref.u.components[i],
                                rtol=0, atol=1e-9)
+        # the next step's first attempt starts from 2 u^n - u^{n-1} and
+        # stalls too; the retry starts from u^n
+        spy = TransportSpy(transport_solve)
+        monkeypatch.setattr(TRANSPORT, spy)
+        _, stats = advance_timestep(new, cfg, problem.mu_law,
+                                    problem.forcing_faces(2 * cfg.dt, cfg),
+                                    solver)
+        assert not stats.predicted
+        first, retry = spy.velocities[0], spy.velocities[cfg.picard_max]
+        assert same_velocity(first, extrapolated(new.u, state.u))
+        assert same_velocity(retry, new.u)
 
 
 class TestGmres:
@@ -756,6 +762,71 @@ class TestWarmStart:
         starts = [solver.curl @ kw["x0"] for kw in stall.kwargs]
         assert np.array_equal(starts[0], first)
         assert np.array_equal(starts[1], second)
+
+
+class TestPicardStart:
+    """A step starts its Picard loop from 2 u^n - u^{n-1} only along the
+    trajectory of its own ``StepSolver`` at unchanged dt; everywhere else
+    from u^n."""
+
+    @pytest.fixture
+    def stepped(self):
+        # one step of a solver: (problem, cfg, solver, u^0 state, u^1 state)
+        mesh = build_mesh([AxisPartition.uniform(0, 1, 8)] * 2)
+        problem = make_problem("mms_b", mesh)
+        cfg = SolverConfig(dt=0.01, t_end=0.01)
+        state0 = initial_state(mesh, problem.rho0, problem.u0)
+        solver = StepSolver(mesh)
+        state1, stats = advance_timestep(state0, cfg, problem.mu_law,
+                                         problem.forcing_faces(cfg.dt, cfg),
+                                         solver)
+        assert not stats.predicted
+        return problem, cfg, solver, state0, state1
+
+    @staticmethod
+    def _step(problem, cfg, state, solver, monkeypatch):
+        spy = TransportSpy(transport_solve)
+        monkeypatch.setattr(TRANSPORT, spy)
+        _, stats = advance_timestep(
+            state, cfg, problem.mu_law,
+            problem.forcing_faces(state.t + cfg.dt, cfg), solver)
+        return stats, spy.velocities[0]
+
+    def test_own_trajectory_starts_from_extrapolation(self, stepped,
+                                                      monkeypatch):
+        problem, cfg, solver, state0, state1 = stepped
+        stats, start = self._step(problem, cfg, state1, solver, monkeypatch)
+        assert stats.predicted
+        assert same_velocity(start, extrapolated(state1.u, state0.u))
+
+    @pytest.mark.parametrize("case", ["no_solver", "fresh", "foreign",
+                                      "copied_state", "changed_dt"])
+    def test_other_steps_start_from_the_state(self, stepped, monkeypatch,
+                                              case):
+        problem, cfg, solver, state0, state = stepped
+        if case == "no_solver":
+            solver = None
+        elif case == "fresh":
+            solver = StepSolver(problem.mesh)
+        elif case == "foreign":
+            # a solver that published a state of its own from the same start
+            solver = StepSolver(problem.mesh)
+            advance_timestep(state0, cfg, problem.mu_law,
+                             problem.forcing_faces(cfg.dt, cfg), solver)
+        elif case == "copied_state":
+            state = TimeState(state.t, state.rho, state.u, state.p,
+                              state.rho_bounds)
+        else:
+            cfg = SolverConfig(dt=0.005, t_end=0.005)
+        stats, start = self._step(problem, cfg, state, solver, monkeypatch)
+        assert not stats.predicted
+        assert same_velocity(start, state.u)
+
+    def test_rayleigh_taylor_first_residual_falls(self):
+        # measured: 1/41 of the residual of a fresh solver at step 3
+        setup = load_config(os.path.join(CONFIGS, "rayleigh-taylor.json"))
+        own, fresh = picard_start_gain(setup.problem, setup.solver, 3)
+        assert own <= fresh / 5
 
 
 class TestTimeState:
