@@ -35,6 +35,8 @@ but never a kernel: neither side is computed through the other, and
 ``_dual_divergence`` serves the matrix-free side only.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -280,7 +282,8 @@ class MassFluxSet:
     direction-i control volumes, on the (i, j) grid (the primal cells for
     ``j == i``).
     ``rho_tilde[(i, j)]`` / ``u_hat[(i, j)]``: the convex pair with
-    ``dual_phi = |sigma~| rho_tilde u_hat`` on the same grids.
+    ``dual_phi = |sigma~| rho_tilde u_hat`` on the same grids, computed from
+    ``rho_face`` and ``u`` on first access: the solver never reads it.
     """
 
     def __init__(self, mesh, rho, u):
@@ -290,8 +293,18 @@ class MassFluxSet:
         self.phi = []
         self.rho_face = []
         self.dual_phi = {}
-        self.rho_tilde = {}
-        self.u_hat = {}
+
+    @cached_property
+    def _pair(self):
+        return _convex_pair(self)
+
+    @property
+    def rho_tilde(self):
+        return self._pair[0]
+
+    @property
+    def u_hat(self):
+        return self._pair[1]
 
 
 def primal_fluxes(rho: CellScalarField, u: VelocityField) -> MassFluxSet:
@@ -311,40 +324,47 @@ def primal_fluxes(rho: CellScalarField, u: VelocityField) -> MassFluxSet:
 
 
 def dual_fluxes(fluxes: MassFluxSet) -> MassFluxSet:
-    """Fill the dual fluxes and the (rho_tilde, u_hat) pairs from the primal
-    fluxes; antisymmetry across every interior dual face is structural."""
+    """Fill the dual fluxes from the primal fluxes; antisymmetry across
+    every interior dual face is structural."""
     mesh = fluxes.mesh
     for i in range(mesh.dim):
-        us = fluxes.u.shaped(i)
-        phi = fluxes.phi[i]
-        phi_lo, phi_hi = _neighbours(phi, i)
-        r_lo, r_hi = _neighbours(fluxes.rho_face[i], i)
-        u_lo, u_hi = _neighbours(us, i)
+        phi_lo, phi_hi = _neighbours(fluxes.phi[i], i)
         fluxes.dual_phi[(i, i)] = 0.5 * (phi_lo + phi_hi)
-        rsum = r_lo + r_hi
-        fluxes.rho_tilde[(i, i)] = 0.5 * rsum
-        mom = r_lo * u_lo + r_hi * u_hi
-        with np.errstate(invalid="ignore", divide="ignore"):
-            fluxes.u_hat[(i, i)] = np.where(rsum != 0.0, mom / rsum, 0.0)
         for j in range(mesh.dim):
             if j == i:
                 continue
             phi_lo, phi_hi = _neighbours(fluxes.phi[j], i, 0.0)
             fluxes.dual_phi[(i, j)] = 0.5 * (phi_lo + phi_hi)
+    return fluxes
+
+
+def _convex_pair(fluxes: MassFluxSet):
+    """The (rho_tilde, u_hat) dicts of ``fluxes`` (see :class:`MassFluxSet`),
+    from its upwind face densities and velocity."""
+    mesh = fluxes.mesh
+    rho_tilde, u_hat = {}, {}
+    for i in range(mesh.dim):
+        r_lo, r_hi = _neighbours(fluxes.rho_face[i], i)
+        u_lo, u_hi = _neighbours(fluxes.u.shaped(i), i)
+        rsum = r_lo + r_hi
+        rho_tilde[(i, i)] = 0.5 * rsum
+        mom = r_lo * u_lo + r_hi * u_hi
+        with np.errstate(invalid="ignore", divide="ignore"):
+            u_hat[(i, i)] = np.where(rsum != 0.0, mom / rsum, 0.0)
+        for j in range(mesh.dim):
+            if j == i:
+                continue
             # measure-weighted density / flux-weighted velocity across axis i
             wlo, whi = (_axis_view(w, i, mesh.dim)
                         for w in _neighbours(mesh.widths[i], 0, 0.0))
             r_lo, r_hi = _neighbours(fluxes.rho_face[j], i, 0.0)
             u_lo, u_hi = _neighbours(fluxes.u.shaped(j), i, 0.0)
             num_r = wlo * r_lo + whi * r_hi
-            den_r = wlo + whi
-            rho_t = num_r / den_r
+            rho_tilde[(i, j)] = num_r / (wlo + whi)
             num_u = wlo * r_lo * u_lo + whi * r_hi * u_hi
             with np.errstate(invalid="ignore", divide="ignore"):
-                u_hat = np.where(num_r != 0.0, num_u / num_r, 0.0)
-            fluxes.rho_tilde[(i, j)] = rho_t
-            fluxes.u_hat[(i, j)] = u_hat
-    return fluxes
+                u_hat[(i, j)] = np.where(num_r != 0.0, num_u / num_r, 0.0)
+    return rho_tilde, u_hat
 
 
 def mass_fluxes(rho: CellScalarField, u: VelocityField) -> MassFluxSet:

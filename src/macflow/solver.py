@@ -6,7 +6,10 @@ density, rebuilds fluxes, dual densities and face viscosities, then solves
 the linearized (Oseen-type) saddle-point system for velocity and pressure
 with the zero-mean pressure constraint imposed through a single Lagrange
 multiplier row/column; in 2d, where the pressure is recovered after the
-velocity, through one pinned cell and a shift to zero mean instead.
+velocity, by a shift to zero mean instead.  That recovery inverts the
+mesh-constant ``G^T W G``, a tensor-product Laplacian on the Cartesian grid,
+by fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964): a 2d
+run holds no factor before its first momentum system.
 Convergence is declared on the nonlinear residuals of the coupled system;
 a trailing transport solve with the accepted velocity leaves the published
 state satisfying the mass balance in every cell to a residual of at most
@@ -55,9 +58,10 @@ along its own trajectory: when it is handed the very state it published
 last, at the dt of that step.  A first step, a copied or foreign state, a
 changed dt and the stall retry start from ``u^n``.
 
-Mesh-constant assembly work is done once per mesh: :class:`StepSolver`
-holds the CSR pattern of the transport matrix and, in 3d, of the momentum
-matrix, so that later assemblies only sum new values into it.
+Mesh-constant work is done once per mesh: :class:`StepSolver` holds the
+CSR pattern of the transport matrix and, in 3d, of the momentum matrix, so
+that later assemblies only sum new values into it, and in 2d the per-axis
+eigenpairs of the pressure recovery.
 
 On glibc, importing this module fixes malloc's mmap threshold (see
 :func:`_fix_mmap_threshold`), so that the resident memory of a run does not
@@ -71,7 +75,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import eigh, get_lapack_funcs
 
 from . import operators as ops
 from . import verification
@@ -259,12 +263,10 @@ SUPERNODE_RELAX = 1    # SuperLU relaxes no supernode: no stored zeros
 def _splu(matrix, what, stats=None, symmetric_pattern=False):
     """SuperLU factors of ``matrix``, counted into ``stats`` when given."""
     # MMD on the A^T+A pattern beats COLAMD on the 2d reduced systems, the
-    # pinned pressure recovery system, the 3d velocity block and the
-    # bordered pressure Laplacian, but degrades badly on the indefinite
-    # saddle matrix, which keeps COLAMD, and is slow to order on a dense
-    # border, so the 2d pressure recovery pins a cell.  No factor relaxes its
-    # supernodes: scipy's default pads the 3d factors to 1.4-2x their fill
-    # with zeros that every triangular solve walks
+    # 3d velocity block and the bordered pressure Laplacian, but degrades
+    # badly on the indefinite saddle matrix, which keeps COLAMD.  No factor
+    # relaxes its supernodes: scipy's default pads the 3d factors to 1.4-2x
+    # their fill with zeros that every triangular solve walks
     kwargs = {"permc_spec": "MMD_AT_PLUS_A"} if symmetric_pattern else {}
     try:
         lu = spla.splu(matrix.tocsc(), relax=SUPERNODE_RELAX, **kwargs)
@@ -414,8 +416,7 @@ class LinearSolve:
     without them.  Old factors are dropped before ``factor()`` or
     ``direct()`` is called, so that on the 2d route, which assembles only
     inside ``factor()``, held factors never coexist with a newly assembled
-    matrix (together they would raise the peak memory of a 256^2 run by
-    about a fifth).  With ``lagged`` False no Krylov answer is tried: every
+    matrix.  With ``lagged`` False no Krylov answer is tried: every
     system is factored afresh and solved directly, by ``direct()`` when
     given.
 
@@ -425,7 +426,11 @@ class LinearSolve:
     it changes: GMRES's target stays relative to the preconditioned
     right-hand side, and the acceptance bounds, the residual check and
     the fallbacks are those above.  The systems of one ``LinearSolve``
-    therefore all have one size.
+    therefore all have one size.  The preconditioned right-hand side is
+    held with the factors and the right-hand side it came from, and reused
+    while both are the same: within a step every Picard iteration has the
+    same right-hand side, so it costs one preconditioner application per
+    step and held factors, not one per iteration.
 
     The cycle is :func:`_gmres`, which reports success from the Arnoldi
     estimate of the preconditioned residual, without the product with the
@@ -442,6 +447,7 @@ class LinearSolve:
         self.lagged = True
         self._precond = None
         self._guess = None      # the last answer returned within tol
+        self._held_rhs = None   # (preconditioner, rhs, its M^-1 rhs)
 
     def solve(self, apply, factor, rhs, check, tol, stats: StepStats,
               direct=None):
@@ -459,17 +465,31 @@ class LinearSolve:
             if out is not None:
                 return out
         if direct is None:
-            self._precond = None    # freed before factor() allocates
+            self._drop()    # freed before factor() allocates
             self._precond = factor()
-            return self._checked(self._precond(rhs), check, tol)
-        self._precond = None
+            return self._checked(self._preconditioned(rhs), check, tol)
+        self._drop()
         if self.lagged:
             self._precond = factor()
             out = self._attempt(apply, rhs, check, tol, stats)
             if out is not None:
                 return out
-            self._precond = None
+            self._drop()
         return self._checked(direct(), check, tol)
+
+    def _drop(self):
+        self._precond = None
+        self._held_rhs = None
+
+    def _preconditioned(self, rhs):
+        # M^-1 rhs, reused while the held factors and rhs stay the same: the
+        # right-hand side of every Picard iteration of a step is rho_D^n
+        # u^n / dt + f, so only the first one pays this solve
+        held = self._held_rhs
+        if (held is None or held[0] is not self._precond
+                or not np.array_equal(held[1], rhs)):
+            held = self._held_rhs = (self._precond, rhs, self._precond(rhs))
+        return held[2]
 
     def _checked(self, x, check, tol):
         # only an answer within tol becomes the next GMRES starting point
@@ -499,10 +519,20 @@ class LinearSolve:
 
         # the target stays relative to |M^-1 rhs|: the guess only shortens
         # the way to it
-        x, info = _gmres(lambda v: solve(apply(v)), solve(rhs),
+        x, info = _gmres(lambda v: solve(apply(v)), self._preconditioned(rhs),
                          x0=self._guess, rtol=REDUCED_RTOL,
                          restart=self.restart, callback=count)
         return x if info == 0 or pr_norm <= REDUCED_ACCEPT else None
+
+
+def _neumann_modes(widths, dual_widths):
+    """Eigenpairs ``(lam, V)`` of ``T V = H V diag(lam)``, ``V^T H V = I``,
+    for one axis: ``H = diag(widths)`` and ``T = D^T diag(1/d) D``, with
+    ``D`` the difference of neighbouring cells and ``d`` the interior dual
+    widths.  ``lam`` ascends from the constant mode's 0."""
+    diff = np.diff(np.eye(widths.size), axis=0)
+    t = diff.T @ (diff / dual_widths[1:-1, None])
+    return eigh(t, np.diag(widths))
 
 
 def _stream_curl_matrix(mesh: MacMesh, dofs: ops.FaceDofMap):
@@ -533,9 +563,13 @@ class StepSolver:
     The route follows the dimension.  In 2d the divergence constraint is
     eliminated through the stream-function parametrization ("nullspace"),
     followed by a pressure recovery from the normal equations ``G^T W G p =
-    G^T W (b - A u)``, factored once with one cell pinned (identity row and
-    column) and shifted to zero mean; this is exact because ``G 1 = 0``, so
-    the right-hand side sums to zero.  The first reduced system ``curl^T W
+    G^T W (b - A u)``, whose answer is shifted to zero mean; this is exact
+    because ``G 1 = 0``, so the right-hand side sums to zero.  ``W`` holds
+    dual volumes only, so ``G^T W G = T_0 (x) H_1 + H_0 (x) T_1`` on the
+    Cartesian grid, with ``H_a`` the cell widths and ``T_a`` the 1d Neumann
+    operator of axis ``a``: the solver holds the eigenpairs of each ``(T_a,
+    H_a)`` and inverts it by four dense products (see
+    :func:`_neumann_modes`).  The first reduced system ``curl^T W
     A curl`` of a run is factored, and every later one is solved by GMRES
     preconditioned with that lagged factor, with ``A`` applied
     matrix-free.  In 3d ("saddle") the Lagrange-bordered system
@@ -564,8 +598,6 @@ class StepSolver:
     extrapolated velocity (see :meth:`_picard_start`).
     """
 
-    PINNED_CELL = 0     # the cell whose pressure the recovery factor fixes
-
     def __init__(self, mesh: MacMesh, method=None):
         self.mesh = mesh
         self.dofs = ops.FaceDofMap(mesh)
@@ -593,16 +625,17 @@ class StepSolver:
             self.curl = _stream_curl_matrix(mesh, self.dofs)
             self.curl_t = self.curl.T
             self.weight = sp.diags(self.dual_vol)
-            gw = self.grad_t @ self.weight @ self.grad
-            # G 1 = 0: G^T W G is singular along the constants only, and
-            # every right-hand side G^T W r sums to zero, so fixing one cell
-            # (identity row and column) leaves the other rows exact
-            keep = np.ones(mesh.n_cells)
-            keep[self.PINNED_CELL] = 0.0
-            mask = sp.diags(keep)
-            self._pressure_lu = _splu(mask @ gw @ mask + sp.diags(1.0 - keep),
-                                      "pressure recovery system",
-                                      symmetric_pattern=True)
+            (lam0, v0), (lam1, v1) = (
+                _neumann_modes(mesh.widths[a], mesh.dual_widths[a])
+                for a in range(2))
+            # G 1 = 0: G^T W G is singular along the constants only, the
+            # (0, 0) mode, whose coefficient in every right-hand side G^T W
+            # r is zero but for roundoff
+            eig = lam0[:, None] + lam1[None, :]
+            eig[0, 0] = 1.0
+            self._pressure_inv = 1.0 / eig
+            self._pressure_inv[0, 0] = 0.0
+            self._pressure_modes = (v0, v1)
 
     def _picard_start(self, state: TimeState, dt):
         """The velocity from which the Picard loop of a step from ``state``
@@ -621,10 +654,11 @@ class StepSolver:
 
     def _recover_pressure(self, rhs):
         """The zero-mean solution of ``G^T W G p = rhs`` for a ``rhs`` that
-        sums to zero: the solution with the pinned cell at zero, shifted."""
-        rhs = rhs.copy()
-        rhs[self.PINNED_CELL] = 0.0
-        p = self._pressure_lu.solve(rhs)
+        sums to zero: ``V_0 [(V_0^T R V_1) / (lam_0i + lam_1j)] V_1^T`` with
+        the constant mode dropped, shifted to zero mean for roundoff."""
+        v0, v1 = self._pressure_modes
+        r = rhs.reshape(self.mesh.n)
+        p = (v0 @ (((v0.T @ r) @ v1) * self._pressure_inv) @ v1.T).ravel()
         return p - np.dot(self.cell_vol, p) / self.mesh.domain_measure
 
     def _momentum_apply(self, mass, fluxes, mu_t, scheme):
@@ -891,11 +925,7 @@ def run_simulation(problem, cfg: SolverConfig, diagnostics_sink=None,
     """
     mesh = problem.mesh
     state = initial_state(mesh, problem.rho0, problem.u0, cfg.quadrature_order)
-    try:
-        solver = StepSolver(mesh)
-    except SolverError as exc:
-        exc.step = 0
-        raise
+    solver = StepSolver(mesh)
     n_steps = cfg.n_steps
     forcing_cache = None
     records = []

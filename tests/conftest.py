@@ -200,6 +200,47 @@ def warm_started_solve(problem, cfg):
     return found[-1]
 
 
+def rhs_preconditionings(problem, cfg):
+    """Runs ``problem`` under ``cfg`` with one ``StepSolver`` and returns,
+    per step, its ``StepStats`` and how often a preconditioner that the
+    solver's ``LinearSolve`` built was applied to that step's momentum
+    right-hand side, after checking that every momentum solve of the step
+    had the same one."""
+    from macflow.solver import StepSolver, advance_timestep, initial_state
+
+    solver = StepSolver(problem.mesh)
+    real = solver.linear.solve
+    step_rhs, counts = [], []
+
+    def spy(apply, factor, rhs, *args):
+        if step_rhs[-1] is None:
+            step_rhs[-1] = rhs
+        assert np.array_equal(rhs, step_rhs[-1])
+
+        def counted_factor():
+            precond = factor()
+
+            def counted(r):
+                counts[-1] += np.array_equal(r, step_rhs[-1])
+                return precond(r)
+
+            return counted
+
+        return real(apply, counted_factor, rhs, *args)
+
+    solver.linear.solve = spy
+    state = initial_state(problem.mesh, problem.rho0, problem.u0)
+    per_step = []
+    for step in range(1, cfg.n_steps + 1):
+        step_rhs.append(None)
+        counts.append(0)
+        f = (None if problem.forcing is None
+             else problem.forcing_faces(step * cfg.dt, cfg))
+        state, stats = advance_timestep(state, cfg, problem.mu_law, f, solver)
+        per_step.append((stats, counts[-1]))
+    return per_step
+
+
 def assert_matches_direct_solve(mesh, args, answer):
     """The answer ``(u, p, res)`` of ``StepSolver.momentum_solve(*args)``
     meets ``linear_tol`` and matches a ``lagged=False`` solve of the same

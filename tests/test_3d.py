@@ -9,8 +9,8 @@ import scipy.sparse.linalg as spla
 
 from conftest import (GMRES, TRANSPORT, KrylovStall, SpluFault,
                       TransportSpy, assert_matches_direct_solve, extrapolated,
-                      picard_start_gain, same_velocity, state_at, true_fill,
-                      warm_started_solve)
+                      picard_start_gain, rhs_preconditionings, same_velocity,
+                      state_at, true_fill, warm_started_solve)
 from macflow import operators as ops
 from macflow.fields import CellScalarField, VelocityField, norm_h1
 from macflow.mesh import AxisPartition, build_mesh
@@ -309,6 +309,14 @@ class TestBlockPreconditionedSaddle:
             per_step.append(stats)
         assert [s.factorizations for s in per_step] == [2, 0, 0]
         assert all(s.krylov_iterations > 0 for s in per_step)
+
+    def test_rhs_preconditioned_once_per_step(self):
+        problem = stirred_problem(stretched_mesh(6))
+        per_step = rhs_preconditionings(
+            problem, SolverConfig(dt=self.DT, t_end=3 * self.DT))
+        assert [stats.factorizations for stats, _ in per_step] == [2, 0, 0]
+        assert all(stats.iterations >= 2 for stats, _ in per_step)
+        assert [count for _, count in per_step] == [1, 1, 1]
 
     def test_blocks_stored_at_true_fill(self, monkeypatch):
         # both held factors of a stirred step; with relaxed supernodes the

@@ -370,14 +370,15 @@ class TestRunCommand:
         assert stall.calls == one_step_gmres.calls + 2
         assert "solver failure at step 2" in capsys.readouterr().err
 
-    def test_setup_factorization_failure_names_step_zero(self, tmp_path,
-                                                         monkeypatch, capsys):
+    def test_first_factorization_failure_names_step_one(self, tmp_path,
+                                                        monkeypatch, capsys):
+        # a 2d set-up factors nothing: the first factorization is step 1's
         fault = SpluFault(spla.splu, fail_from=1)
         monkeypatch.setattr(spla, "splu", fault)
         cfg = small_run_config(tmp_path, solver={"dt": 0.1, "t_end": 0.1})
         code = main(["run", "--config", cfg, "--output-dir", str(tmp_path)])
         assert code == 3 and fault.calls == 1
-        assert "solver failure at step 0" in capsys.readouterr().err
+        assert "solver failure at step 1" in capsys.readouterr().err
 
     def test_bit_identical_reruns(self, tmp_path):
         cfg = small_run_config(tmp_path, problem={"name": "mms_b"},

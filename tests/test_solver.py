@@ -11,7 +11,8 @@ import macflow
 from conftest import (GMRES, TRANSPORT, KrylovStall, SpluFault,
                       TransportSpy, assert_matches_direct_solve, extrapolated,
                       picard_start_gain, random_cells, random_velocity,
-                      same_velocity, state_at, true_fill, warm_started_solve)
+                      rhs_preconditionings, same_velocity, state_at,
+                      true_fill, warm_started_solve)
 from macflow import operators as ops
 from macflow.config import load_config
 from macflow.fields import CellScalarField, VelocityField
@@ -314,11 +315,11 @@ class TestStreamCurl:
 
 
 class TestPressureRecovery:
-    """The 2d pressure recovery factors G^T W G with one cell pinned and
-    shifts its answer to zero mean instead of bordering the matrix by the
-    cell volumes."""
+    """The 2d pressure recovery inverts G^T W G by fast diagonalization of
+    its tensor-product form and shifts its answer to zero mean instead of
+    bordering the matrix by the cell volumes."""
 
-    def test_pinned_solve_matches_bordered_solve(self, mesh_stretched, rng):
+    def test_recovery_matches_bordered_solve(self, mesh_stretched, rng):
         mesh = mesh_stretched
         solver = StepSolver(mesh)
         m = solver.cell_vol
@@ -333,9 +334,30 @@ class TestPressureRecovery:
         assert np.max(np.abs(p - ref)) <= 1e-12 * np.max(np.abs(ref))
         mean = np.dot(m, p) / mesh.domain_measure
         assert abs(mean) <= 1e-14 * np.max(np.abs(p))
-        lu = spla.splu(bordered, permc_spec="MMD_AT_PLUS_A")
-        pinned = solver._pressure_lu
-        assert pinned.L.nnz + pinned.U.nnz <= lu.L.nnz + lu.U.nnz
+
+    @pytest.mark.parametrize("axes", [
+        [AxisPartition.uniform(0.0, 1.0, 1),
+         AxisPartition.geometric(0.0, 1.0, 9, 5.0)],
+        [AxisPartition.geometric(0.0, 3.0, 7, 4.0),
+         AxisPartition.uniform(0.0, 1.0, 1)],
+        [AxisPartition.uniform(0.0, 1.0, 1)] * 2,
+        # anisotropic: stretch 100 along x, 30 along y, on [0,1]x[0,2]
+        [AxisPartition.geometric(0.0, 1.0, 64, 100.0),
+         AxisPartition.geometric(0.0, 2.0, 48, 30.0)],
+    ], ids=["one-cell-x", "one-cell-y", "one-cell", "stretched-64x48"])
+    def test_recovers_known_pressure(self, axes, rng):
+        mesh = build_mesh(axes)
+        solver = StepSolver(mesh)
+        m = solver.cell_vol
+        gw = solver.grad_t @ solver.weight @ solver.grad
+        p_true = rng.uniform(-1.0, 1.0, mesh.n_cells)
+        p_true -= np.dot(m, p_true) / mesh.domain_measure
+        rhs = gw @ p_true
+        p = solver._recover_pressure(rhs)
+        assert np.max(np.abs(p - p_true)) <= 1e-11 * np.max(np.abs(p_true))
+        assert np.linalg.norm(gw @ p - rhs) <= 1e-13 * np.linalg.norm(rhs)
+        mean = np.dot(m, p) / mesh.domain_measure
+        assert abs(mean) <= 1e-14 * np.max(np.abs(p), initial=0.0)
 
 
 class TestAdvanceTimestep:
@@ -601,22 +623,41 @@ class TestLaggedFactor:
         assert all(s.krylov_iterations > 0 for s in per_step)
 
     def test_factors_stored_at_true_fill(self, mesh_stretched, monkeypatch):
-        # the pinned pressure recovery factor of the set-up and the reduced
-        # factor of the step; with relaxed supernodes the reduced factor
-        # stored 12,550 entries for 9,280
+        # the set-up factors nothing, and the reduced factor of the step
+        # holds its true fill; with relaxed supernodes it stored 12,550
+        # entries for 9,280
         problem = make_problem("mms_b", mesh_stretched)
         cfg = SolverConfig(dt=0.02, t_end=0.02)
         state = initial_state(mesh_stretched, problem.rho0, problem.u0)
         lu_calls = SpluFault(spla.splu)
         monkeypatch.setattr(spla, "splu", lu_calls)
         solver = StepSolver(mesh_stretched)
+        assert lu_calls.calls == 0
         _, stats = advance_timestep(state, cfg, problem.mu_law,
                                     problem.forcing_faces(cfg.dt, cfg), solver)
-        setup, step = lu_calls.factors[:1], lu_calls.factors[1:]
-        assert stats.factorizations == len(step) == 1
-        true_fill(setup)
-        fill = true_fill(step)
+        assert stats.factorizations == len(lu_calls.factors) == 1
+        fill = true_fill(lu_calls.factors)
         assert stats.factor_nnz == fill
+
+    def test_rhs_preconditioned_once_per_step(self):
+        mesh = build_mesh([AxisPartition.uniform(0, 1, 16)] * 2)
+        problem = make_problem("mms_b", mesh)
+        per_step = rhs_preconditionings(problem,
+                                        SolverConfig(dt=0.02, t_end=0.06))
+        assert [stats.factorizations for stats, _ in per_step] == [1, 0, 0]
+        assert all(stats.iterations >= 2 for stats, _ in per_step)
+        assert [count for _, count in per_step] == [1, 1, 1]
+
+    def test_step_never_builds_convex_pair(self, monkeypatch):
+        # the Picard loop and the step audit read dual_phi only
+        def fail(fluxes):
+            raise AssertionError("convex pair built")
+
+        monkeypatch.setattr(ops, "_convex_pair", fail)
+        mesh = build_mesh([AxisPartition.geometric(0, 1, 8, 3.0)] * 2)
+        result = run_simulation(make_problem("mms_b", mesh),
+                                SolverConfig(dt=0.02, t_end=0.04))
+        assert len(result.records) == 2
 
     def test_stalled_picard_loop_retries_with_fresh_factors(self, monkeypatch):
         # GMRES answers within linear_tol that hold the Picard residual above
