@@ -18,32 +18,39 @@ state satisfying the mass balance in every cell to a residual of at most
 Linear solves follow one policy.  Transport systems are solved by
 Jacobi-preconditioned BiCGSTAB, whose answer is accepted only within that
 max-norm bound; otherwise the system is factored directly.  The momentum
-system goes through :class:`LinearSolve`, which keeps the SuperLU factors of
-the first system of a run and solves every later one by GMRES,
-preconditioned by those lagged factors (Knoll & Keyes, J. Comput. Phys.
-193, 2004).  In 2d the factor is that of the reduced stream-function
+system goes through :class:`LinearSolve`, which keeps the preconditioner
+built for the first system of a run and solves every later one by GMRES,
+preconditioned by that lagged one (Knoll & Keyes, J. Comput. Phys. 193,
+2004).  In 2d it is the SuperLU factor of the reduced stream-function
 system, and GMRES applies the momentum operator matrix-free.  In 3d the
 preconditioner is block upper-triangular (Cahouet & Chabard, IJNMF 8,
 1988; Elman, Silvester & Wathen, Finite Elements and Fast Iterative
-Solvers, 2nd ed., 2014, ch. 9): a factor of the velocity block and a
-variable-density Cahouet-Chabard approximation of the pressure Schur
+Solvers, 2nd ed., 2014, ch. 9): an approximation of the velocity block and
+a variable-density Cahouet-Chabard approximation of the pressure Schur
 complement; GMRES multiplies by the momentum matrix, assembled once per
-solve.  Every GMRES solve starts from the last answer the policy accepted,
-the previous Picard iterate or the last one of the previous step (Saad,
-Iterative Methods for Sparse Linear Systems, 2nd ed., 2003, ch. 6); that
-changes only GMRES's starting point, never its target, the residual check
-or the fallbacks.  No SuperLU factor relaxes its supernodes (see
-:func:`_splu`): scipy's default stored 1.4-2x the true fill of the 3d
-factors in explicit zeros, and every triangular solve walks them.  GMRES
-is macflow's own cycle (:func:`_gmres`), scipy's ``gmres`` operation for
-operation except that it does not apply the preconditioned operator once
-more to the answer: scipy needs that product only for its ``info``, and
-acceptance does not need it (see :class:`LinearSolve`).  Factors are rebuilt only when GMRES misses its
-target in one cycle or the residual check of the original equations fails;
-that check always applies the momentum operator matrix-free.  In 3d, when the
-fresh factors fail too, the saddle system is assembled afresh, factored
-and solved directly.  A step whose Picard loop stalls is retried once with
-every momentum system solved directly.
+solve.  Its first blocks factor nothing: at constant coefficients both have
+a tensor-product form on the Cartesian grid, inverted by fast
+diagonalization (Deville, Fischer & Mund, High-Order Methods for
+Incompressible Fluid Flow, 2002), so a 3d run at moderate density contrast
+makes no SuperLU factorization.  SuperLU factors of the two blocks are the
+next link of the chain.  Every GMRES solve starts from the last answer the
+policy accepted, the previous Picard iterate or the last one of the
+previous step (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed.,
+2003, ch. 6); that changes only GMRES's starting point, never its target,
+the residual check or the fallbacks.  No SuperLU factor relaxes its
+supernodes (see :func:`_splu`): scipy's default stored 1.4-2x the true fill
+of the 3d factors in explicit zeros, and every triangular solve walks
+them.  GMRES is macflow's own cycle (:func:`_gmres`), scipy's ``gmres``
+operation for operation except that it does not apply the preconditioned
+operator once more to the answer: scipy needs that product only for its
+``info``, and acceptance does not need it (see :class:`LinearSolve`).  A
+preconditioner is rebuilt only when GMRES misses its target in one cycle or
+the residual check of the original equations fails; that check always
+applies the momentum operator matrix-free.  In 3d the rebuild tries fresh
+separable blocks, then fresh SuperLU blocks, and when both fail the saddle
+system is assembled afresh, factored and solved directly.  A step whose
+Picard loop stalls is retried once with every momentum system solved
+directly.
 
 Each step's Picard loop starts from the second-order extrapolation ``u* =
 2 u^n - u^{n-1}`` (Karniadakis, Israeli & Orszag, J. Comput. Phys. 97,
@@ -60,8 +67,8 @@ changed dt and the stall retry start from ``u^n``.
 
 Mesh-constant work is done once per mesh: :class:`StepSolver` holds the
 CSR pattern of the transport matrix and, in 3d, of the momentum matrix, so
-that later assemblies only sum new values into it, and in 2d the per-axis
-eigenpairs of the pressure recovery.
+that later assemblies only sum new values into it, and the per-axis
+eigenpairs of the pressure recovery (2d) or of the separable blocks (3d).
 
 On glibc, importing this module fixes malloc's mmap threshold (see
 :func:`_fix_mmap_threshold`), so that the resident memory of a run does not
@@ -69,6 +76,7 @@ depend on what earlier runs in the same process freed.
 """
 
 import ctypes
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -113,8 +121,10 @@ TRANSPORT_MAXITER = 50     # BiCGSTAB iterations before the direct fallback
 REDUCED_RTOL = 1e-15
 REDUCED_ACCEPT = 1e-13
 GMRES_RESTART = 20         # one cycle; missing REDUCED_ACCEPT is stagnation
-SADDLE_RESTART = 40        # the same for the block-preconditioned saddle
-                           # system, which takes ~20 iterations at 10^3
+SADDLE_RESTART = 80        # the same for the block-preconditioned saddle
+                           # system: with the separable blocks its first
+                           # solve of a step takes 45 iterations at 10^3,
+                           # 54 at 16^3, 59 at 20^3 and 61 at 24^3
 
 
 MMAP_THRESHOLD = 4 << 20   # bytes; see _fix_mmap_threshold
@@ -349,7 +359,7 @@ def _gmres(matvec, b, x0=None, *, rtol, restart, callback):
     restart = min(restart, b.size)
     v = np.empty((restart + 1, b.size))
     h = np.zeros((restart, restart + 1))
-    givens = np.zeros((restart, 2))
+    givens = []     # (c, s) of each rotation, Python floats
     s = np.zeros(restart + 1)
     v[0] = r
     s[0] = np.linalg.norm(v[0])
@@ -371,16 +381,20 @@ def _gmres(matvec, b, x0=None, *, rtol, restart, callback):
             h[col, col + 1] = 0
         else:
             v[col + 1] *= 1 / h1
+        # the rotations run on Python floats: indexing h entry by entry
+        # costs more than their arithmetic, which stays the same
+        row = h[col].tolist()
         for k in range(col):
             c, sn = givens[k]
-            n0, n1 = h[col, [k, k + 1]]
-            h[col, [k, k + 1]] = [c * n0 + sn * n1, -sn * n0 + c * n1]
-        c, sn, mag = lartg(h[col, col], h[col, col + 1])
-        givens[col] = [c, sn]
-        h[col, [col, col + 1]] = mag, 0
+            n0, n1 = row[k], row[k + 1]
+            row[k], row[k + 1] = c * n0 + sn * n1, -sn * n0 + c * n1
+        c, sn, mag = lartg(row[col], row[col + 1])
+        givens.append((c, sn))
+        row[col], row[col + 1] = mag, 0.0
+        h[col] = row
         tmp = -sn * s[col]
-        s[[col, col + 1]] = [c * s[col], tmp]
-        presid = np.abs(tmp)
+        s[col], s[col + 1] = c * s[col], tmp
+        presid = abs(tmp)
         callback(presid / bnrm2)
         if presid <= ptol or breakdown:
             break
@@ -401,24 +415,28 @@ def _gmres(matvec, b, x0=None, *, rtol, restart, callback):
 
 
 class LinearSolve:
-    """Lagged-factor solve of a sequence of slowly changing systems.
+    """Lagged-preconditioner solve of a sequence of slowly changing systems.
 
-    Holds the preconditioner that ``factor()`` built from the factors of an
-    earlier system and solves each later system by GMRES with the caller's
-    product ``apply``, preconditioned by those stale factors.  The factors
-    are rebuilt when GMRES does not reach ``REDUCED_ACCEPT`` within one
-    cycle of ``restart`` iterations or when the caller's check of the
-    original equations rejects the Krylov answer.  Without ``direct`` the
-    preconditioner is the exact inverse of the system it was factored from,
-    and the fresh factors solve the system directly.  With ``direct`` it is
-    an approximation: the fresh factors precondition one more GMRES cycle,
-    and should that answer be rejected too, ``direct()`` solves the system
-    without them.  Old factors are dropped before ``factor()`` or
-    ``direct()`` is called, so that on the 2d route, which assembles only
-    inside ``factor()``, held factors never coexist with a newly assembled
-    matrix.  With ``lagged`` False no Krylov answer is tried: every
-    system is factored afresh and solved directly, by ``direct()`` when
-    given.
+    Holds the preconditioner that one of the caller's ``links`` built for
+    an earlier system and solves each later system by GMRES with the
+    caller's product ``apply``, preconditioned by that stale one.  When
+    GMRES does not reach ``REDUCED_ACCEPT`` within one cycle of
+    ``restart`` iterations, or the caller's check of the original
+    equations rejects the Krylov answer, the held preconditioner is
+    dropped and the links are tried in order, each built afresh for the
+    current system and given one GMRES cycle; the first link whose answer
+    is accepted is held.  Should every link's answer be rejected,
+    ``direct()`` solves the system without them, and an answer it cannot
+    deliver within tolerance surfaces as the caller's typed error.  On the
+    3d saddle route the links are the separable blocks, then the SuperLU
+    blocks.  Without ``direct`` there is one link, the factor of the 2d
+    reduced system: its preconditioner is the exact inverse of the system
+    it was factored from, and the fresh factor solves the system directly.
+    A held preconditioner is dropped before a link or ``direct()`` builds,
+    so that on the 2d route, which assembles only inside its link, a held
+    factor never coexists with a newly assembled matrix.  With ``lagged``
+    False no Krylov answer is tried: every system is solved directly, by
+    ``direct()`` when given and by a fresh factor otherwise.
 
     GMRES starts from the last answer ``solve`` returned within ``tol``,
     whether it came from GMRES, from fresh factors or from ``direct()``;
@@ -427,10 +445,11 @@ class LinearSolve:
     right-hand side, and the acceptance bounds, the residual check and
     the fallbacks are those above.  The systems of one ``LinearSolve``
     therefore all have one size.  The preconditioned right-hand side is
-    held with the factors and the right-hand side it came from, and reused
-    while both are the same: within a step every Picard iteration has the
-    same right-hand side, so it costs one preconditioner application per
-    step and held factors, not one per iteration.
+    held with the preconditioner and the right-hand side it came from, and
+    reused while both are the same: within a step every Picard iteration
+    has the same right-hand side, so it costs one preconditioner
+    application per step and held preconditioner, not one per
+    iteration.
 
     The cycle is :func:`_gmres`, which reports success from the Arnoldi
     estimate of the preconditioned residual, without the product with the
@@ -449,32 +468,35 @@ class LinearSolve:
         self._guess = None      # the last answer returned within tol
         self._held_rhs = None   # (preconditioner, rhs, its M^-1 rhs)
 
-    def solve(self, apply, factor, rhs, check, tol, stats: StepStats,
+    def solve(self, apply, links, rhs, check, tol, stats: StepStats,
               direct=None):
         """Solve the system whose product is ``apply(x)`` for ``rhs``.
 
-        ``factor()`` factors the current system, counting its
-        factorizations into ``stats``, and returns the preconditioner as a
-        function of a residual.  ``check(x)`` maps a solution to a tuple
-        whose last entry is the residual of the original equations; a
-        Krylov answer is returned only when that residual is at most
-        ``tol``.  A direct answer is returned whatever its residual:
-        rejecting it is the caller's job."""
+        Each of ``links`` builds a preconditioner for the current system,
+        counting its factorizations into ``stats``, and returns it as a
+        function of a residual; without ``direct`` there is one link, and
+        its preconditioner is the exact inverse.  ``check(x)`` maps a
+        solution to a tuple whose last entry is the residual of the
+        original equations; a Krylov answer is returned only when that
+        residual is at most ``tol``.  A direct answer is returned whatever
+        its residual: rejecting it is the caller's job."""
         if self.lagged and self._precond is not None:
             out = self._attempt(apply, rhs, check, tol, stats)
             if out is not None:
                 return out
         if direct is None:
+            (factor,) = links
             self._drop()    # freed before factor() allocates
             self._precond = factor()
             return self._checked(self._preconditioned(rhs), check, tol)
-        self._drop()
         if self.lagged:
-            self._precond = factor()
-            out = self._attempt(apply, rhs, check, tol, stats)
-            if out is not None:
-                return out
-            self._drop()
+            for build in links:
+                self._drop()
+                self._precond = build()
+                out = self._attempt(apply, rhs, check, tol, stats)
+                if out is not None:
+                    return out
+        self._drop()
         return self._checked(direct(), check, tol)
 
     def _drop(self):
@@ -482,9 +504,9 @@ class LinearSolve:
         self._held_rhs = None
 
     def _preconditioned(self, rhs):
-        # M^-1 rhs, reused while the held factors and rhs stay the same: the
-        # right-hand side of every Picard iteration of a step is rho_D^n
-        # u^n / dt + f, so only the first one pays this solve
+        # M^-1 rhs, reused while the held preconditioner and rhs stay the
+        # same: the right-hand side of every Picard iteration of a step is
+        # rho_D^n u^n / dt + f, so only the first one pays this solve
         held = self._held_rhs
         if (held is None or held[0] is not self._precond
                 or not np.array_equal(held[1], rhs)):
@@ -525,14 +547,89 @@ class LinearSolve:
         return x if info == 0 or pr_norm <= REDUCED_ACCEPT else None
 
 
-def _neumann_modes(widths, dual_widths):
-    """Eigenpairs ``(lam, V)`` of ``T V = H V diag(lam)``, ``V^T H V = I``,
-    for one axis: ``H = diag(widths)`` and ``T = D^T diag(1/d) D``, with
-    ``D`` the difference of neighbouring cells and ``d`` the interior dual
-    widths.  ``lam`` ascends from the constant mode's 0."""
-    diff = np.diff(np.eye(widths.size), axis=0)
-    t = diff.T @ (diff / dual_widths[1:-1, None])
-    return eigh(t, np.diag(widths))
+def _axis_modes(kind, widths, dual_widths):
+    """Eigenpairs ``(lam, V)`` of ``K V = M V diag(lam)``, ``V^T M V = I``,
+    for one axis of the Cartesian grid, ``lam`` ascending.  ``kind`` names
+    the unknowns along the axis and their boundary condition:
+
+    - ``"neumann"``: cells with no flux through the walls, as the pressure.
+      ``K = D^T diag(1/d) D``, with ``D`` the difference of neighbouring
+      cells and ``d`` the interior dual widths; ``M`` holds the cell
+      widths, and ``lam`` ascends from the constant mode's 0.
+    - ``"dirichlet"``: the interior vertices, zero on the walls, as a
+      velocity component along its own axis.  ``K = D^T diag(1/h) D``, with
+      ``D`` the difference across each cell and ``h`` the cell widths;
+      ``M`` holds the interior dual widths.
+    - ``"wall"``: cells with zero ghosts beyond the walls, as a velocity
+      component across another axis.  ``K = E^T diag(1/d) E``, with ``E``
+      the difference across every dual interval, the two boundary half
+      cells included, and ``d`` their widths; ``M`` holds the cell widths.
+    """
+    n = widths.size
+    if kind == "neumann":
+        diff = np.diff(np.eye(n), axis=0)
+        dist, mass = dual_widths[1:-1], widths
+    elif kind == "dirichlet":
+        diff = np.diff(np.eye(n + 1), axis=0)[:, 1:-1]
+        dist, mass = widths, dual_widths[1:-1]
+    else:   # "wall"
+        diff = np.diff(np.eye(n + 2), axis=0)[:, 1:-1]
+        dist, mass = dual_widths, widths
+    t = diff.T @ (diff / dist[:, None])
+    return eigh(t, np.diag(mass))
+
+
+def _along(q, x, axis):
+    """``q`` applied along ``axis`` of the array ``x``, by matmul."""
+    shape = x.shape
+    lead, rest = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
+    if axis == x.ndim - 1:
+        return (x.reshape(lead, shape[axis]) @ q.T).reshape(shape)
+    if lead == 1:
+        return (q @ x.reshape(shape[axis], rest)).reshape(shape)
+    return np.matmul(q, x.reshape(lead, shape[axis], rest)).reshape(shape)
+
+
+class _Separable:
+    """Fast diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964) of
+    ``S = sum_a s_a K_a (x) M_(others)`` on the Cartesian grid, one
+    :func:`_axis_modes` pair ``(K_a, M_a)`` of the given kind per axis and
+    ``M_(others)`` the Kronecker product of the other axes' ``M_b``.  With
+    ``V = V_0 (x) V_1 ...`` and ``M = M_0 (x) M_1 ...``, ``V^T S V =
+    diag(eig)`` and ``V^T M V = I``, so ``(c M + S)^-1 = V diag(1 / (c +
+    eig)) V^T``:
+    :meth:`solve` applies ``V diag(inv) V^T`` by one dense product per axis
+    each way."""
+
+    def __init__(self, mesh, kinds, weights):
+        pairs = [_axis_modes(kind, mesh.widths[a], mesh.dual_widths[a])
+                 for a, kind in enumerate(kinds)]
+        self.modes = [v for _, v in pairs]
+        self.shape = tuple(v.shape[0] for v in self.modes)
+        self.eig = sum(s * _axis_view(lam, a, mesh.dim)
+                       for a, (s, (lam, _)) in enumerate(zip(weights, pairs)))
+
+    def solve(self, inv, r):
+        """``V diag(inv) V^T r`` for a flat ``r`` in C order of ``shape``."""
+        x = r.reshape(self.shape)
+        for a, v in enumerate(self.modes):
+            x = _along(v.T, x, a)
+        x = x * inv
+        for a, v in enumerate(self.modes):
+            x = _along(v, x, a)
+        return x.ravel()
+
+
+def _velocity_blocks(mesh):
+    """One :class:`_Separable` per velocity component ``i``: its
+    ``eig`` are those of ``W_i`` times the component-diagonal block of the
+    constant-viscosity ``-div_E(D(u))``, Dirichlet vertices along axis
+    ``i`` and walls across it, where the strain rate halves the
+    coefficient."""
+    return [_Separable(mesh, ["dirichlet" if a == i else "wall"
+                              for a in range(mesh.dim)],
+                       [1.0 if a == i else 0.5 for a in range(mesh.dim)])
+            for i in range(mesh.dim)]
 
 
 def _stream_curl_matrix(mesh: MacMesh, dofs: ops.FaceDofMap):
@@ -568,25 +665,47 @@ class StepSolver:
     dual volumes only, so ``G^T W G = T_0 (x) H_1 + H_0 (x) T_1`` on the
     Cartesian grid, with ``H_a`` the cell widths and ``T_a`` the 1d Neumann
     operator of axis ``a``: the solver holds the eigenpairs of each ``(T_a,
-    H_a)`` and inverts it by four dense products (see
-    :func:`_neumann_modes`).  The first reduced system ``curl^T W
-    A curl`` of a run is factored, and every later one is solved by GMRES
-    preconditioned with that lagged factor, with ``A`` applied
-    matrix-free.  In 3d ("saddle") the Lagrange-bordered system
-    ``[[A, G, 0], [D, 0, m], [0, m^T, 0]]`` is solved by GMRES, preconditioned
-    block upper-triangularly: the pressure part ``z_p = L^-1 r_p / dt -
-    (mu_K/|K|) r_p``, projected to the mean the last row asks for, where
-    ``L = D diag(1/rho_D) G`` bordered by the cell volumes ``m`` is factored
-    and its bordered solve also gives the multiplier; then the velocity
-    part ``z_u = A^-1 (r_u - G z_p)`` from a factor of ``A``.  ``A`` is
-    assembled once per solve, through the held ``momentum_pattern``, and
-    serves both the GMRES product and the velocity-block factor.  Both
-    factors are held like the 2d one; when GMRES fails with fresh factors
-    too, the saddle matrix is assembled afresh, factored and solved
-    directly, with one step of iterative refinement.  The factors are
-    rebuilt only when GMRES misses its target or the residual check below
-    fails.  ``method`` overrides the choice only so that tests can run the
-    algebraically equivalent 2d saddle route as a reference.  Both routes
+    H_a)`` and inverts it by four dense products (see :class:`_Separable`).
+    The first reduced system ``curl^T W A curl`` of a run is factored, and
+    every later one is solved by GMRES preconditioned with that lagged
+    factor, with ``A`` applied matrix-free.
+
+    In 3d ("saddle") the Lagrange-bordered system ``[[A, G, 0], [D, 0,
+    m], [0, m^T, 0]]`` is solved by GMRES, preconditioned block
+    upper-triangularly: the pressure part ``z_p = L^-1 r_p / dt -
+    (mu_K/|K|) r_p``, projected to the mean the last row asks for, with
+    ``L = D diag(1/rho_D) G``; then the velocity part ``z_u = A^-1 (r_u -
+    G z_p)``.  ``A`` is assembled once per solve, through the held
+    ``momentum_pattern``, and serves the GMRES product.  The blocks come
+    from a chain of links (see :class:`LinearSolve`), of which the solver
+    holds the one that last answered:
+
+    1. Separable blocks, which factor nothing.  Both blocks have a
+       tensor-product form on the Cartesian grid at constant coefficients
+       (see :class:`_Separable`), inverted by fast diagonalization with
+       eigenpairs the solver holds.  ``L ~ -kappa G^T W G``, with
+       ``kappa`` the dual-volume mean of ``1/rho_D``: ``G 1 = 0``, so the
+       multiplier is ``lam = sum(r_p) / |Omega|``, and ``L^-1 (r_p - m
+       lam)`` is the pseudo-inverse's zero-mean answer plus the constant
+       the last row asks for.  Velocity component ``i`` is ``W_i^-1 (c_1
+       W_i + c_2 S_i)`` with ``S_i`` its constant-viscosity diffusion
+       block (see :func:`_velocity_blocks`), ``c_1`` the dual-volume mean
+       of ``rho_D / dt`` and ``c_2`` the cell-volume mean of ``mu``, scaled
+       on both sides by ``sqrt(rho_D / (dt c_1))`` so that its mass term
+       is exact.  Convection and the cross-component viscous coupling are
+       left to GMRES.
+    2. SuperLU blocks: a factor of ``A`` and one of ``L`` bordered by the
+       cell volumes ``m``, whose bordered solve also gives the multiplier.
+       At density ratio 1000 with the viscosity falling 500-fold,
+       the separable blocks can miss where these answer.
+    3. The saddle matrix assembled afresh, factored and solved directly,
+       with one step of iterative refinement.
+
+    A new link is built only when GMRES misses its target or the residual
+    check below fails.  ``method`` overrides the choice only so that tests
+    can run the algebraically equivalent 2d saddle route as a reference;
+    that route has no separable link, and its chain starts with the
+    SuperLU blocks.  Both routes
     check the residual of the original equations against ``linear_tol``,
     with ``A`` applied matrix-free: an assembled matrix never decides
     whether an answer is accepted.  ``transport_pattern`` holds the CSR
@@ -625,17 +744,23 @@ class StepSolver:
             self.curl = _stream_curl_matrix(mesh, self.dofs)
             self.curl_t = self.curl.T
             self.weight = sp.diags(self.dual_vol)
-            (lam0, v0), (lam1, v1) = (
-                _neumann_modes(mesh.widths[a], mesh.dual_widths[a])
-                for a in range(2))
+        if method == "nullspace" or mesh.dim == 3:
+            # the modes of G^T W G: the 2d pressure recovery and the 3d
+            # separable pressure block
+            self._pressure = _Separable(mesh, ["neumann"] * mesh.dim,
+                                        [1.0] * mesh.dim)
             # G 1 = 0: G^T W G is singular along the constants only, the
-            # (0, 0) mode, whose coefficient in every right-hand side G^T W
-            # r is zero but for roundoff
-            eig = lam0[:, None] + lam1[None, :]
-            eig[0, 0] = 1.0
+            # (0, ..., 0) mode, whose coefficient in every right-hand side
+            # G^T W r is zero but for roundoff
+            eig = self._pressure.eig.copy()
+            eig.flat[0] = 1.0
             self._pressure_inv = 1.0 / eig
-            self._pressure_inv[0, 0] = 0.0
-            self._pressure_modes = (v0, v1)
+            self._pressure_inv.flat[0] = 0.0
+        # the separable velocity blocks exist in 3d only: the 2d saddle
+        # route, the tests' algebraic reference for the reduced one, keeps
+        # only the factored blocks
+        self._velocity = (_velocity_blocks(mesh)
+                          if method == "saddle" and mesh.dim == 3 else None)
 
     def _picard_start(self, state: TimeState, dt):
         """The velocity from which the Picard loop of a step from ``state``
@@ -654,11 +779,10 @@ class StepSolver:
 
     def _recover_pressure(self, rhs):
         """The zero-mean solution of ``G^T W G p = rhs`` for a ``rhs`` that
-        sums to zero: ``V_0 [(V_0^T R V_1) / (lam_0i + lam_1j)] V_1^T`` with
-        the constant mode dropped, shifted to zero mean for roundoff."""
-        v0, v1 = self._pressure_modes
-        r = rhs.reshape(self.mesh.n)
-        p = (v0 @ (((v0.T @ r) @ v1) * self._pressure_inv) @ v1.T).ravel()
+        sums to zero: in 2d ``V_0 [(V_0^T R V_1) / (lam_0i + lam_1j)]
+        V_1^T`` (see :class:`_Separable`) with the constant mode dropped,
+        shifted to zero mean for roundoff."""
+        p = self._pressure.solve(self._pressure_inv, rhs)
         return p - np.dot(self.cell_vol, p) / self.mesh.domain_measure
 
     def _momentum_apply(self, mass, fluxes, mu_t, scheme):
@@ -704,7 +828,7 @@ class StepSolver:
             p_vec = self._recover_pressure(self.grad_t @ (w * (b - Au)))
             return u_vec, p_vec, self._residual(Au, u_vec, p_vec, b)
 
-        return self.linear.solve(apply_reduced, factor_reduced,
+        return self.linear.solve(apply_reduced, (factor_reduced,),
                                  curl_t @ (w * b), recover, linear_tol,
                                  stats)
 
@@ -726,25 +850,66 @@ class StepSolver:
             out[-1] = np.dot(m, p_vec)
             return out
 
+        rho_d = self.dofs.pack(rho_dual_new)
+        visc = mu_t.mu_cells.ravel() / m
+        vol = self.mesh.domain_measure
+
+        def pressure_part(r, y, lam):
+            # z_p from the Schur part y ~ L^-1 (r_p - m lam) with the mean
+            # the last row asks for; the viscous part is projected to zero
+            # mean so that it keeps that mean
+            v = visc * (r[nu:nu + nc] - m * lam)
+            v -= np.dot(m, v) / vol
+            return y / dt - v
+
+        def separable_blocks():
+            # the blocks at constant coefficients, inverted by fast
+            # diagonalization (see the class docstring); the held
+            # preconditioner refers to no StepSolver, so that a solver
+            # is freed without waiting for the cycle collector
+            w, pressure, pressure_inv = (self.dual_vol, self._pressure,
+                                         self._pressure_inv)
+            c_mass = np.dot(w, rho_d) / (dt * w.sum())
+            c_visc = np.dot(m, mu_t.mu_cells.ravel()) / vol
+            kappa = np.dot(w, 1.0 / rho_d) / w.sum()
+            scale = np.sqrt(c_mass * dt / rho_d)
+            blocks = [(blk, 1.0 / (c_mass + c_visc * blk.eig),
+                       slice(off, off + ids.size))
+                      for blk, off, ids in zip(self._velocity,
+                                               self.dofs.offsets,
+                                               self.dofs.interior)]
+
+            def precond(r):
+                # G 1 = 0, so that L y = r_p - m lam is solvable; the
+                # pseudo-inverse's answer has zero mean, and the last row
+                # asks for the mean dt r_-1
+                lam = r[nu:nu + nc].sum() / vol
+                y = (dt * r[-1] / vol
+                     - pressure.solve(pressure_inv, r[nu:nu + nc] - m * lam)
+                     / kappa)
+                z_p = pressure_part(r, y, lam)
+                x = scale * w * (r[:nu] - grad @ z_p)
+                z_u = np.empty(nu)
+                for blk, inv, part in blocks:
+                    z_u[part] = blk.solve(inv, x[part])
+                return np.concatenate([scale * z_u, z_p, [lam]])
+
+            return precond
+
         def factor_blocks():
             a_lu = _splu(A.tocsc(), "momentum block", stats,
                          symmetric_pattern=True)
-            lap = div_c @ sp.diags(1.0 / self.dofs.pack(rho_dual_new)) @ grad
+            lap = div_c @ sp.diags(1.0 / rho_d) @ grad
             l_lu = _splu(sp.bmat([[lap, m[:, None]], [m[None, :], None]],
                                  format="csc"),
                          "pressure Schur approximation", stats,
                          symmetric_pattern=True)
-            visc = mu_t.mu_cells.ravel() / m
-            vol = self.mesh.domain_measure
 
             def precond(r):
                 # the bordered solve gives L^-1 r_p with the mean the last
-                # row asks for, and the multiplier; the viscous part is
-                # projected to zero mean so that it keeps that mean
+                # row asks for, and the multiplier
                 y = l_lu.solve(np.append(r[nu:nu + nc], dt * r[-1]))
-                v = visc * (r[nu:nu + nc] - m * y[-1])
-                v -= np.dot(m, v) / vol
-                z_p = y[:nc] / dt - v
+                z_p = pressure_part(r, y[:nc], y[-1])
                 return np.concatenate([a_lu.solve(r[:nu] - grad @ z_p), z_p,
                                        y[-1:]])
 
@@ -768,8 +933,10 @@ class StepSolver:
             u_vec, p_vec = x[:nu], x[nu:nu + nc]
             return u_vec, p_vec, self._residual(apply(u_vec), u_vec, p_vec, b)
 
-        return self.linear.solve(apply_saddle, factor_blocks, rhs, split,
-                                 linear_tol, stats, direct)
+        links = ((factor_blocks,) if self._velocity is None
+                 else (separable_blocks, factor_blocks))
+        return self.linear.solve(apply_saddle, links, rhs, split, linear_tol,
+                                 stats, direct)
 
     def momentum_solve(self, prev: TimeState, fluxes: ops.MassFluxSet, mu_t,
                        f_faces, dt, scheme="centered", linear_tol=1e-9,

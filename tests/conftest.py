@@ -174,7 +174,7 @@ def picard_start_gain(problem, cfg, step):
 def warm_started_solve(problem, cfg):
     """Runs ``problem`` under ``cfg`` and returns the positional arguments
     and the answer ``(u, p, res)`` of its last momentum solve that GMRES
-    answered with the held factors, starting from a held answer."""
+    answered with the held preconditioner, starting from a held answer."""
     from macflow.solver import StepSolver, advance_timestep, initial_state
 
     solver = StepSolver(problem.mesh)
@@ -182,11 +182,10 @@ def warm_started_solve(problem, cfg):
     found = []
 
     def spy(*args):
-        stats = args[-1]
         warm = solver.linear._guess is not None
-        factorizations = stats.factorizations
+        held = solver.linear._precond
         out = real(*args)
-        if warm and stats.factorizations == factorizations:
+        if warm and held is not None and solver.linear._precond is held:
             found.append((args, out))
         return out
 
@@ -212,21 +211,24 @@ def rhs_preconditionings(problem, cfg):
     real = solver.linear.solve
     step_rhs, counts = [], []
 
-    def spy(apply, factor, rhs, *args):
+    def spy(apply, links, rhs, *args):
         if step_rhs[-1] is None:
             step_rhs[-1] = rhs
         assert np.array_equal(rhs, step_rhs[-1])
 
-        def counted_factor():
-            precond = factor()
+        def counted_link(build):
+            def counted_build():
+                precond = build()
 
-            def counted(r):
-                counts[-1] += np.array_equal(r, step_rhs[-1])
-                return precond(r)
+                def counted(r):
+                    counts[-1] += np.array_equal(r, step_rhs[-1])
+                    return precond(r)
 
-            return counted
+                return counted
 
-        return real(apply, counted_factor, rhs, *args)
+            return counted_build
+
+        return real(apply, tuple(map(counted_link, links)), rhs, *args)
 
     solver.linear.solve = spy
     state = initial_state(problem.mesh, problem.rho0, problem.u0)

@@ -1,6 +1,10 @@
 """The geometry and operator code paths are dimension-generic; exercise them
 once on a small 3d grid (full acceptance coverage is 2d), and the 3d saddle
-solve: block-preconditioned GMRES with held factors and its fallback chain."""
+solve: block-preconditioned GMRES with held preconditioner blocks and its
+fallback chain."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from macflow import operators as ops
 from macflow.fields import CellScalarField, VelocityField, norm_h1
 from macflow.mesh import AxisPartition, build_mesh
 from macflow.problems import Problem, linear_viscosity
+from macflow import solver as solver_module
 from macflow.solver import (LinearSolve, LinearSolveError, SolverConfig,
                             SolverError, StepSolver, StepStats,
                             _gmres, advance_timestep, initial_state,
@@ -115,10 +120,11 @@ def stirred_problem(mesh):
 
 
 class TestBlockPreconditionedSaddle:
-    """The 3d saddle system is solved by GMRES preconditioned with a held
-    velocity-block factor and a variable-density Cahouet-Chabard pressure
-    factor; a rejected answer refactors both, then falls back to the
-    direct saddle LU."""
+    """The 3d saddle system is solved by GMRES with a held block
+    preconditioner: separable velocity and Cahouet-Chabard pressure blocks
+    first.  A rejected answer builds fresh separable blocks, then a fresh
+    factor pair of the velocity block and the variable-density pressure
+    Laplacian, then falls back to the direct saddle LU."""
 
     DT = 0.02
 
@@ -171,16 +177,19 @@ class TestBlockPreconditionedSaddle:
         mesh = stretched_mesh(6)
         solver = StepSolver(mesh)
         stats = StepStats()
-        near = None
+        near = held = None
         for _ in range(2):
-            # a fresh factor pair first, then the held pair on nearby data
+            # fresh separable blocks first, then the held ones on nearby
+            # data; neither factors anything
             system = self._system(mesh, rng, near)
             iterations = stats.krylov_iterations
             u, p, res = self._solve(solver, system, stats)
-            assert stats.factorizations == 2
+            assert stats.factorizations == 0
             assert stats.krylov_iterations > iterations
             assert res <= 1e-9
             self._assert_matches(mesh, system, u, p)
+            assert held is None or solver.linear._precond is held
+            held = solver.linear._precond
             near = system[1]
 
     @pytest.mark.parametrize("info", [1, 0],
@@ -193,32 +202,32 @@ class TestBlockPreconditionedSaddle:
         self._solve(solver, self._system(mesh, rng), stats)
         system = self._system(mesh, rng)
         lu_calls = SpluFault(spla.splu)
-        stall = KrylovStall(_gmres, stall_from=1, stall_to=1, info=info)
+        stall = KrylovStall(_gmres, stall_from=1, stall_to=2, info=info)
         monkeypatch.setattr(spla, "splu", lu_calls)
         monkeypatch.setattr(GMRES, stall)
         u, p, res = self._solve(solver, system, stats)
-        # the held pair stalls; the fresh pair answers
-        assert stall.calls == 2
-        assert lu_calls.calls == 2 and stats.factorizations == 4
+        # the held and the fresh separable blocks stall; the fresh factor
+        # pair answers
+        assert stall.calls == 3
+        assert lu_calls.calls == 2 and stats.factorizations == 2
         assert res <= 1e-9
         monkeypatch.undo()
         self._assert_matches(mesh, system, u, p)
 
     def test_second_stall_reaches_direct_saddle_lu(self, rng, monkeypatch):
+        # a first system has no held blocks: the separable blocks, then the
+        # factor pair stall, and the saddle LU answers
         mesh = stretched_mesh(6)
         solver = StepSolver(mesh)
         stats = StepStats()
-        self._solve(solver, self._system(mesh, rng), stats)
         system = self._system(mesh, rng)
         lu_calls = SpluFault(spla.splu)
         stall = KrylovStall(_gmres, stall_from=1)
         monkeypatch.setattr(spla, "splu", lu_calls)
         monkeypatch.setattr(GMRES, stall)
         u, p, res = self._solve(solver, system, stats)
-        # the held pair, then the fresh pair stall; two block LUs and the
-        # saddle LU follow
         assert stall.calls == 2
-        assert lu_calls.calls == 3 and stats.factorizations == 5
+        assert lu_calls.calls == 3 and stats.factorizations == 3
         assert res <= 1e-9
         monkeypatch.undo()
         self._assert_matches(mesh, system, u, p)
@@ -226,11 +235,11 @@ class TestBlockPreconditionedSaddle:
 
     def test_wrong_assembled_product_is_caught_by_matrix_free_check(
             self, rng, monkeypatch):
-        # GMRES and the blocks use A assembled through the held pattern;
-        # scaled by 1 + 1e-6 it still gives converged GMRES answers, to the
-        # wrong system, which the matrix-free residual check rejects with
-        # the held and the fresh blocks; the direct saddle LU assembles A
-        # afresh
+        # GMRES and the factored blocks use A assembled through the held
+        # pattern; scaled by 1 + 1e-6 it still gives converged GMRES
+        # answers, to the wrong system, which the matrix-free residual check
+        # rejects with the held and the fresh separable blocks and the
+        # fresh factor pair; the direct saddle LU assembles A afresh
         mesh = stretched_mesh(6)
         solver = StepSolver(mesh)
         stats = StepStats()
@@ -254,9 +263,10 @@ class TestBlockPreconditionedSaddle:
         monkeypatch.setattr(LinearSolve, "_krylov", krylov)
         system = self._system(mesh, rng, near=first[1])
         u, p, res = self._solve(solver, system, stats)
-        assert answers == [True, True]
-        # the first pair, the fresh pair and the saddle LU
-        assert stats.factorizations == 2 + 2 + 1
+        assert answers == [True, True, True]
+        # the fresh factor pair and the saddle LU; the first system was
+        # answered with separable blocks
+        assert stats.factorizations == 2 + 1
         assert res <= 1e-9
         monkeypatch.undo()
         self._assert_matches(mesh, system, u, p)
@@ -272,7 +282,8 @@ class TestBlockPreconditionedSaddle:
         monkeypatch.setattr(GMRES, stall)
         with pytest.raises(LinearSolveError, match="momentum saddle system"):
             self._solve(solver, self._system(mesh, rng), stats)
-        assert fault.calls == 3 and stall.calls == 2
+        # held and fresh separable blocks, the factor pair, the saddle LU
+        assert fault.calls == 3 and stall.calls == 3
 
     def test_run_names_failing_step(self, monkeypatch):
         problem = stirred_problem(build_mesh([AxisPartition.uniform(0, 1, 4)] * 3))
@@ -282,9 +293,10 @@ class TestBlockPreconditionedSaddle:
         monkeypatch.setattr(spla, "splu", one_step)
         monkeypatch.setattr(GMRES, one_step_gmres)
         run_simulation(problem, SolverConfig(dt=0.02, t_end=0.02))
-        assert one_step.calls == 2 and one_step_gmres.calls >= 1
-        # from step 2 on GMRES stagnates, which refactors both blocks and
-        # then reaches the direct saddle LU; fail at that LU
+        assert one_step.calls == 0 and one_step_gmres.calls >= 1
+        # from step 2 on GMRES stagnates, which builds fresh separable
+        # blocks, factors both blocks and then reaches the direct saddle
+        # LU; fail at that LU
         stall = KrylovStall(_gmres, stall_from=one_step_gmres.calls + 1)
         monkeypatch.setattr(GMRES, stall)
         fault = SpluFault(real, fail_from=one_step.calls + 3)
@@ -293,40 +305,47 @@ class TestBlockPreconditionedSaddle:
             run_simulation(problem, SolverConfig(dt=0.02, t_end=0.06))
         assert info.value.step == 2
         assert fault.calls == one_step.calls + 3
-        assert stall.calls == one_step_gmres.calls + 2
+        assert stall.calls == one_step_gmres.calls + 3
 
     def test_blocks_factored_in_first_step_only(self):
+        # the separable blocks are built by the first momentum solve and
+        # held through every later one; no step factors a block
         mesh = stretched_mesh(6)
         problem = stirred_problem(mesh)
         cfg = SolverConfig(dt=self.DT, t_end=3 * self.DT)
         state = initial_state(mesh, problem.rho0, problem.u0)
         solver = StepSolver(mesh)
         f = problem.forcing_faces(cfg.dt, cfg)
-        per_step = []
+        per_step, held = [], []
         for _ in range(3):
             state, stats = advance_timestep(state, cfg, problem.mu_law, f,
                                             solver)
             per_step.append(stats)
-        assert [s.factorizations for s in per_step] == [2, 0, 0]
+            held.append(solver.linear._precond)
+        assert [s.factorizations for s in per_step] == [0, 0, 0]
+        assert held[0] is not None and held[0] is held[1] is held[2]
         assert all(s.krylov_iterations > 0 for s in per_step)
 
     def test_rhs_preconditioned_once_per_step(self):
         problem = stirred_problem(stretched_mesh(6))
         per_step = rhs_preconditionings(
             problem, SolverConfig(dt=self.DT, t_end=3 * self.DT))
-        assert [stats.factorizations for stats, _ in per_step] == [2, 0, 0]
+        assert [stats.factorizations for stats, _ in per_step] == [0, 0, 0]
         assert all(stats.iterations >= 2 for stats, _ in per_step)
         assert [count for _, count in per_step] == [1, 1, 1]
 
     def test_blocks_stored_at_true_fill(self, monkeypatch):
-        # both held factors of a stirred step; with relaxed supernodes the
-        # velocity block stored 88,728 entries for 54,628
+        # both factors of a stirred step whose separable blocks stall once;
+        # with relaxed supernodes the velocity block stored 88,728 entries
+        # for 54,628
         mesh = stretched_mesh(6)
         problem = stirred_problem(mesh)
         cfg = SolverConfig(dt=self.DT, t_end=self.DT)
         state = initial_state(mesh, problem.rho0, problem.u0)
         lu_calls = SpluFault(spla.splu)
         monkeypatch.setattr(spla, "splu", lu_calls)
+        monkeypatch.setattr(GMRES, KrylovStall(_gmres, stall_from=1,
+                                               stall_to=1))
         _, stats = advance_timestep(state, cfg, problem.mu_law,
                                     problem.forcing_faces(cfg.dt, cfg),
                                     StepSolver(mesh))
@@ -354,11 +373,12 @@ class TestBlockPreconditionedSaddle:
         monkeypatch.setattr(GMRES, loose)
         solver = StepSolver(mesh)
         new, stats = advance_timestep(state, cfg, problem.mu_law, f, solver)
-        # every iteration of the first attempt used GMRES and ran into the
-        # cap; the retry used none
+        # every iteration of the first attempt used GMRES with separable
+        # blocks, factoring nothing, and ran into the cap; the retry used
+        # no GMRES and one saddle LU per iteration
         assert len(calls) == cfg.picard_max
         assert max(stats.mass_residual, stats.momentum_residual) <= cfg.picard_tol
-        assert stats.factorizations >= 2 + stats.iterations
+        assert stats.factorizations == stats.iterations
         assert solver.linear.lagged
         for i in range(3):
             assert np.allclose(new.u.components[i], ref.u.components[i],
@@ -386,15 +406,18 @@ class TestBlockPreconditionedSaddle:
         u, p, _ = self._solve(solver, first, StepStats())
         accepted = np.concatenate([solver.dofs.pack(list(u.components)),
                                    p.values])
-        # a wrong iterate reported as converged, rejected by the residual
-        # check; GMRES with the fresh blocks must start from the answer to
-        # the first system
-        stall = KrylovStall(_gmres, stall_from=1, stall_to=1, info=0)
+        # wrong iterates reported as converged with the held and the fresh
+        # separable blocks, rejected by the residual check; GMRES with
+        # every link, the fresh factor pair last, must start from the
+        # answer to the first system
+        lu_calls = SpluFault(spla.splu)
+        stall = KrylovStall(_gmres, stall_from=1, stall_to=2, info=0)
+        monkeypatch.setattr(spla, "splu", lu_calls)
         monkeypatch.setattr(GMRES, stall)
         _, _, res = self._solve(
             solver, self._system(mesh, rng, near=first[1]),
             StepStats())
-        assert stall.calls == 2 and res <= 1e-9
+        assert stall.calls == 3 and lu_calls.calls == 2 and res <= 1e-9
         for kwargs in stall.kwargs:
             assert np.array_equal(kwargs["x0"][:accepted.size], accepted)
 
@@ -434,6 +457,134 @@ class TestBlockPreconditionedSaddle:
             stirred_problem(stretched_mesh(6)),
             SolverConfig(dt=self.DT, t_end=3 * self.DT), 3)
         assert own <= fresh / 3
+
+    def test_separable_pressure_link_matches_bordered_solve(self, rng):
+        # at constant density L = D diag(1/rho) G is -G^T W G / rho, which
+        # the separable pressure block inverts exactly
+        mesh = stretched_mesh(6)
+        solver = StepSolver(mesh)
+        links = []
+        real = solver.linear.solve
+
+        def spy(apply, chain, *args):
+            links.extend(chain)
+            return real(apply, chain, *args)
+
+        solver.linear.solve = spy
+        rho = CellScalarField(mesh, np.full(mesh.n_cells, 1.7))
+        adv = VelocityField.from_interior(
+            mesh, [rng.uniform(-1, 1, mesh.faces_shape(i)) for i in range(3)])
+        mu_t = ops.viscosity_tensor(rho, lambda r: 0.1 + 0.1 * r)
+        solver.momentum_solve(state_at(rho, adv), ops.mass_fluxes(rho, adv),
+                              mu_t, None, self.DT)
+        nu, nc, m = solver.dofs.n_dofs, mesh.n_cells, solver.cell_vol
+        r = rng.uniform(-1, 1, nu + nc + 1)
+        z = links[0]()(r)
+        lap = solver.div_c @ solver.grad / 1.7
+        y = spla.spsolve(sp.bmat([[lap, m[:, None]], [m[None, :], None]],
+                                 format="csc"),
+                         np.append(r[nu:nu + nc], self.DT * r[-1]))
+        v = mu_t.mu_cells.ravel() / m * (r[nu:nu + nc] - m * y[-1])
+        z_p = y[:nc] / self.DT - (v - np.dot(m, v) / mesh.domain_measure)
+        assert (np.max(np.abs(z[nu:nu + nc] - z_p))
+                <= 1e-10 * np.max(np.abs(z_p)))
+        assert abs(z[-1] - y[-1]) <= 1e-12 * abs(y[-1])
+
+    def test_chain_order(self, rng, monkeypatch):
+        # every GMRES cycle stalls: the held blocks, fresh separable blocks
+        # and the fresh factor pair each get one cycle, in that order, and
+        # the direct saddle LU answers
+        mesh = stretched_mesh(6)
+        solver = StepSolver(mesh)
+        self._solve(solver, self._system(mesh, rng), StepStats())
+        log = []
+        stall = KrylovStall(_gmres, stall_from=1)
+        real_splu = solver_module._splu
+
+        def logged_gmres(*args, **kwargs):
+            log.append("GMRES")
+            return stall(*args, **kwargs)
+
+        def logged_splu(matrix, what, *args, **kwargs):
+            log.append(what)
+            return real_splu(matrix, what, *args, **kwargs)
+
+        monkeypatch.setattr(GMRES, logged_gmres)
+        monkeypatch.setattr(solver_module, "_splu", logged_splu)
+        system = self._system(mesh, rng)
+        u, p, res = self._solve(solver, system, StepStats())
+        assert log == ["GMRES", "GMRES", "momentum block",
+                       "pressure Schur approximation", "GMRES",
+                       "momentum saddle system"]
+        assert res <= 1e-9
+        monkeypatch.undo()
+        self._assert_matches(mesh, system, u, p)
+        assert np.max(np.abs(ops.divergence(u).values)) <= 1e-12
+
+    def test_density_ratio_1000_never_reaches_direct_saddle_lu(
+            self, monkeypatch):
+        # density 1 to 1000 with mu falling from 1 to 0.002: the separable
+        # blocks alone miss in the first step, and the factor pair must
+        # answer there rather than the direct saddle LU
+        mesh = build_mesh([AxisPartition.uniform(0, 1, 10)] * 3)
+        stirred = stirred_problem(mesh)
+
+        def rho0(x, y, z):
+            return 500.5 + 499.5 * (np.sin(2 * np.pi * x)
+                                    * np.sin(2 * np.pi * y)
+                                    * np.sin(2 * np.pi * z))
+
+        def zero(t, x, y, z):
+            return np.zeros_like(np.asarray(x, dtype=float))
+
+        def buoyancy(t, x, y, z):
+            return -2.0 * (rho0(x, y, z) - 500.5)
+
+        problem = Problem(name="stirred-1000", mesh=mesh, rho0=rho0,
+                          u0=stirred.u0,
+                          mu_law=linear_viscosity(1.0 + 0.998 / 999,
+                                                  -0.998 / 999),
+                          forcing=(zero, zero, buoyancy),
+                          time_independent_forcing=True)
+        factored = []
+        real_splu = solver_module._splu
+
+        def logged_splu(matrix, what, *args, **kwargs):
+            factored.append(what)
+            return real_splu(matrix, what, *args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "_splu", logged_splu)
+        result = run_simulation(problem, SolverConfig(dt=self.DT,
+                                                      t_end=2 * self.DT))
+        assert "momentum saddle system" not in factored
+        assert all(record.violations == () for record in result.records)
+
+    def test_stirred_16cubed_run_factors_nothing(self, monkeypatch):
+        problem = stirred_problem(
+            build_mesh([AxisPartition.uniform(0, 1, 16)] * 3))
+        lu_calls = SpluFault(spla.splu)
+        monkeypatch.setattr(spla, "splu", lu_calls)
+        result = run_simulation(problem, SolverConfig(dt=self.DT,
+                                                      t_end=2 * self.DT))
+        assert lu_calls.calls == 0
+        assert all(record.violations == () for record in result.records)
+        assert max(record.div_max for record in result.records) <= 1e-12
+
+    def test_held_blocks_free_their_solver_without_gc(self, rng):
+        # a held preconditioner that referred to its StepSolver kept every
+        # solver of a process alive until the cycle collector ran, and
+        # stir-3d's peak RSS grew by ~1.3 MB per run
+        mesh = stretched_mesh(4)
+        solver = StepSolver(mesh)
+        self._solve(solver, self._system(mesh, rng), StepStats())
+        assert solver.linear._precond is not None
+        ref = weakref.ref(solver)
+        gc.disable()
+        try:
+            del solver
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_stirred_step_audit_on_stretched_12cubed(self):
         problem = stirred_problem(stretched_mesh(12))

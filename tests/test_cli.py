@@ -344,8 +344,9 @@ class TestRunCommand:
 
     def test_3d_saddle_failure_names_step(self, tmp_path, monkeypatch,
                                           capsys):
-        # in 3d a stalled GMRES refactors both preconditioner blocks and
-        # then falls back to the direct saddle LU; that LU fails in step 2
+        # in 3d a stalled GMRES builds fresh separable blocks, factors both
+        # preconditioner blocks and then falls back to the direct saddle
+        # LU; that LU fails in step 2
         real = spla.splu
         one_step = SpluFault(real)
         one_step_gmres = KrylovStall(_gmres)
@@ -356,7 +357,7 @@ class TestRunCommand:
                                solver={"dt": 0.1, "t_end": 0.1})
         assert main(["run", "--config", cfg,
                      "--output-dir", str(tmp_path / "one")]) == 0
-        assert one_step.calls == 2 and one_step_gmres.calls >= 1
+        assert one_step.calls == 0 and one_step_gmres.calls >= 1
         stall = KrylovStall(_gmres, stall_from=one_step_gmres.calls + 1)
         monkeypatch.setattr(GMRES, stall)
         fault = SpluFault(real, fail_from=one_step.calls + 3)
@@ -367,7 +368,7 @@ class TestRunCommand:
                      "--output-dir", str(tmp_path / "two")])
         assert code == 3
         assert fault.calls == one_step.calls + 3
-        assert stall.calls == one_step_gmres.calls + 2
+        assert stall.calls == one_step_gmres.calls + 3
         assert "solver failure at step 2" in capsys.readouterr().err
 
     def test_first_factorization_failure_names_step_one(self, tmp_path,
