@@ -18,39 +18,42 @@ state satisfying the mass balance in every cell to a residual of at most
 Linear solves follow one policy.  Transport systems are solved by
 Jacobi-preconditioned BiCGSTAB, whose answer is accepted only within that
 max-norm bound; otherwise the system is factored directly.  The momentum
-system goes through :class:`LinearSolve`, which keeps the preconditioner
-built for the first system of a run and solves every later one by GMRES,
-preconditioned by that lagged one (Knoll & Keyes, J. Comput. Phys. 193,
-2004).  In 2d it is the SuperLU factor of the reduced stream-function
-system, and GMRES applies the momentum operator matrix-free.  In 3d the
-preconditioner is block upper-triangular (Cahouet & Chabard, IJNMF 8,
+system goes through :class:`LinearSolve`, one chain of links, each of which
+builds a preconditioner for the current system; the last link builds its
+exact inverse.  The link that answered a system is held, and every later
+system is solved by GMRES preconditioned by that lagged one (Knoll & Keyes,
+J. Comput. Phys. 193, 2004).  In 2d the chain is one link, the SuperLU
+factor of the reduced stream-function system, and GMRES applies the
+momentum operator matrix-free.  On the saddle route, which 3d takes, the
+approximate links are block upper-triangular (Cahouet & Chabard, IJNMF 8,
 1988; Elman, Silvester & Wathen, Finite Elements and Fast Iterative
 Solvers, 2nd ed., 2014, ch. 9): an approximation of the velocity block and
 a variable-density Cahouet-Chabard approximation of the pressure Schur
 complement; GMRES multiplies by the momentum matrix, assembled once per
-solve.  Its first blocks factor nothing: at constant coefficients both have
+solve.  The first blocks factor nothing: at constant coefficients both have
 a tensor-product form on the Cartesian grid, inverted by fast
 diagonalization (Deville, Fischer & Mund, High-Order Methods for
 Incompressible Fluid Flow, 2002), so a 3d run at moderate density contrast
 makes no SuperLU factorization.  SuperLU factors of the two blocks are the
-next link of the chain.  Every GMRES solve starts from the last answer the
-policy accepted, the previous Picard iterate or the last one of the
-previous step (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed.,
-2003, ch. 6); that changes only GMRES's starting point, never its target,
-the residual check or the fallbacks.  No SuperLU factor relaxes its
-supernodes (see :func:`_splu`): scipy's default stored 1.4-2x the true fill
-of the 3d factors in explicit zeros, and every triangular solve walks
-them.  GMRES is macflow's own cycle (:func:`_gmres`), scipy's ``gmres``
-operation for operation except that it does not apply the preconditioned
-operator once more to the answer: scipy needs that product only for its
-``info``, and acceptance does not need it (see :class:`LinearSolve`).  A
-preconditioner is rebuilt only when GMRES misses its target in one cycle or
-the residual check of the original equations fails; that check always
-applies the momentum operator matrix-free.  In 3d the rebuild tries fresh
-separable blocks, then fresh SuperLU blocks, and when both fail the saddle
-system is assembled afresh, factored and solved directly.  A step whose
-Picard loop stalls is retried once with every momentum system solved
-directly.
+second link, and the LU of the saddle matrix, assembled afresh and applied
+with one step of iterative refinement, is the exact third.  Every GMRES
+solve starts from the last answer the policy accepted, the previous Picard
+iterate or the last one of the previous step (Saad, Iterative Methods for
+Sparse Linear Systems, 2nd ed., 2003, ch. 6); that changes only GMRES's
+starting point, never its target, the residual check or the fallbacks.  No
+SuperLU factor relaxes its supernodes (see :func:`_splu`): scipy's default
+stored 1.4-2x the true fill of the 3d factors in explicit zeros, and every
+triangular solve walks them.  GMRES is macflow's own cycle
+(:func:`_gmres`), scipy's ``gmres`` operation for operation except that it
+does not apply the preconditioned operator once more to the answer: scipy
+needs that product only for its ``info``, and acceptance does not need it
+(see :class:`LinearSolve`).  A preconditioner is rebuilt only when GMRES
+misses its target in one cycle or the residual check of the original
+equations fails; that check always applies the momentum operator
+matrix-free.  The rebuild walks the chain from its first link, each
+approximate link given one GMRES cycle, and the exact link answers with no
+GMRES.  A step whose Picard loop stalls is retried once with every momentum
+system answered by the exact link.
 
 Each step's Picard loop starts from the second-order extrapolation ``u* =
 2 u^n - u^{n-1}`` (Karniadakis, Israeli & Orszag, J. Comput. Phys. 97,
@@ -66,9 +69,10 @@ last, at the dt of that step.  A first step, a copied or foreign state, a
 changed dt and the stall retry start from ``u^n``.
 
 Mesh-constant work is done once per mesh: :class:`StepSolver` holds the
-CSR pattern of the transport matrix and, in 3d, of the momentum matrix, so
-that later assemblies only sum new values into it, and the per-axis
-eigenpairs of the pressure recovery (2d) or of the separable blocks (3d).
+CSR pattern of the transport matrix and, on the saddle route, of the
+momentum matrix, so that later assemblies only sum new values into it, and
+the per-axis eigenpairs of ``G^T W G`` (the 2d pressure recovery, the
+separable pressure block) and of the separable velocity blocks.
 
 On glibc, importing this module fixes malloc's mmap threshold (see
 :func:`_fix_mmap_threshold`), so that the resident memory of a run does not
@@ -424,26 +428,26 @@ class LinearSolve:
     ``restart`` iterations, or the caller's check of the original
     equations rejects the Krylov answer, the held preconditioner is
     dropped and the links are tried in order, each built afresh for the
-    current system and given one GMRES cycle; the first link whose answer
-    is accepted is held.  Should every link's answer be rejected,
-    ``direct()`` solves the system without them, and an answer it cannot
-    deliver within tolerance surfaces as the caller's typed error.  On the
-    3d saddle route the links are the separable blocks, then the SuperLU
-    blocks.  Without ``direct`` there is one link, the factor of the 2d
-    reduced system: its preconditioner is the exact inverse of the system
-    it was factored from, and the fresh factor solves the system directly.
-    A held preconditioner is dropped before a link or ``direct()`` builds,
-    so that on the 2d route, which assembles only inside its link, a held
-    factor never coexists with a newly assembled matrix.  With ``lagged``
-    False no Krylov answer is tried: every system is solved directly, by
-    ``direct()`` when given and by a fresh factor otherwise.
+    current system.  Every link but the last is approximate and given one
+    GMRES cycle; the last builds the exact inverse ``M^-1`` of the current
+    system, and its answer is ``M^-1 rhs``, with no GMRES.  An exact answer
+    is returned whatever its residual, so that one the link cannot deliver
+    within tolerance surfaces as the caller's typed error.  Whichever link
+    answered is held, the exact one like any other, and preconditions
+    GMRES on the next system.  On the 2d reduced route the chain is one
+    link, the factor of the reduced system; on the saddle route it is the
+    separable blocks, the SuperLU blocks and the LU of the saddle matrix.
+    A held preconditioner is dropped before a link builds, so that on the
+    2d route, which assembles only inside its link, a held factor never
+    coexists with a newly assembled matrix.  With ``lagged`` False only
+    the exact link runs: no Krylov answer is tried.
 
     GMRES starts from the last answer ``solve`` returned within ``tol``,
-    whether it came from GMRES, from fresh factors or from ``direct()``;
-    a rejected answer never becomes the starting point.  The start is all
-    it changes: GMRES's target stays relative to the preconditioned
-    right-hand side, and the acceptance bounds, the residual check and
-    the fallbacks are those above.  The systems of one ``LinearSolve``
+    whether it came from GMRES or from the exact link; a rejected answer
+    never becomes the starting point.  The start is all it changes:
+    GMRES's target stays relative to the preconditioned right-hand side,
+    and the acceptance bounds, the residual check and the fallbacks are
+    those above.  The systems of one ``LinearSolve``
     therefore all have one size.  The preconditioned right-hand side is
     held with the preconditioner and the right-hand side it came from, and
     reused while both are the same: within a step every Picard iteration
@@ -468,36 +472,31 @@ class LinearSolve:
         self._guess = None      # the last answer returned within tol
         self._held_rhs = None   # (preconditioner, rhs, its M^-1 rhs)
 
-    def solve(self, apply, links, rhs, check, tol, stats: StepStats,
-              direct=None):
+    def solve(self, apply, links, rhs, check, tol, stats: StepStats):
         """Solve the system whose product is ``apply(x)`` for ``rhs``.
 
         Each of ``links`` builds a preconditioner for the current system,
         counting its factorizations into ``stats``, and returns it as a
-        function of a residual; without ``direct`` there is one link, and
-        its preconditioner is the exact inverse.  ``check(x)`` maps a
-        solution to a tuple whose last entry is the residual of the
-        original equations; a Krylov answer is returned only when that
-        residual is at most ``tol``.  A direct answer is returned whatever
-        its residual: rejecting it is the caller's job."""
+        function of a residual; the last link's is the exact inverse.
+        ``check(x)`` maps a solution to a tuple whose last entry is the
+        residual of the original equations; a Krylov answer is returned
+        only when that residual is at most ``tol``.  The exact link's
+        answer is returned whatever its residual: rejecting it is the
+        caller's job."""
         if self.lagged and self._precond is not None:
             out = self._attempt(apply, rhs, check, tol, stats)
             if out is not None:
                 return out
-        if direct is None:
-            (factor,) = links
-            self._drop()    # freed before factor() allocates
-            self._precond = factor()
-            return self._checked(self._preconditioned(rhs), check, tol)
-        if self.lagged:
-            for build in links:
-                self._drop()
-                self._precond = build()
-                out = self._attempt(apply, rhs, check, tol, stats)
-                if out is not None:
-                    return out
-        self._drop()
-        return self._checked(direct(), check, tol)
+        *approximate, exact = links if self.lagged else links[-1:]
+        for build in approximate:
+            self._drop()
+            self._precond = build()
+            out = self._attempt(apply, rhs, check, tol, stats)
+            if out is not None:
+                return out
+        self._drop()    # freed before the exact link allocates
+        self._precond = exact()
+        return self._checked(self._preconditioned(rhs), check, tol)
 
     def _drop(self):
         self._precond = None
@@ -668,7 +667,8 @@ class StepSolver:
     H_a)`` and inverts it by four dense products (see :class:`_Separable`).
     The first reduced system ``curl^T W A curl`` of a run is factored, and
     every later one is solved by GMRES preconditioned with that lagged
-    factor, with ``A`` applied matrix-free.
+    factor, with ``A`` applied matrix-free: the factor is the chain's one
+    link, and exact (see :class:`LinearSolve`).
 
     In 3d ("saddle") the Lagrange-bordered system ``[[A, G, 0], [D, 0,
     m], [0, m^T, 0]]`` is solved by GMRES, preconditioned block
@@ -677,8 +677,8 @@ class StepSolver:
     ``L = D diag(1/rho_D) G``; then the velocity part ``z_u = A^-1 (r_u -
     G z_p)``.  ``A`` is assembled once per solve, through the held
     ``momentum_pattern``, and serves the GMRES product.  The blocks come
-    from a chain of links (see :class:`LinearSolve`), of which the solver
-    holds the one that last answered:
+    from a chain of three links (see :class:`LinearSolve`), the last of
+    them exact, of which the solver holds the one that last answered:
 
     1. Separable blocks, which factor nothing.  Both blocks have a
        tensor-product form on the Cartesian grid at constant coefficients
@@ -698,14 +698,16 @@ class StepSolver:
        cell volumes ``m``, whose bordered solve also gives the multiplier.
        At density ratio 1000 with the viscosity falling 500-fold,
        the separable blocks can miss where these answer.
-    3. The saddle matrix assembled afresh, factored and solved directly,
-       with one step of iterative refinement.
+    3. The saddle matrix assembled afresh and factored, applied with one
+       step of iterative refinement: the exact link.  It answers the
+       system it was built for with no GMRES and is then held like the
+       other two, so that a nearby system is answered by GMRES with it
+       instead of walking the chain again.
 
     A new link is built only when GMRES misses its target or the residual
     check below fails.  ``method`` overrides the choice only so that tests
     can run the algebraically equivalent 2d saddle route as a reference;
-    that route has no separable link, and its chain starts with the
-    SuperLU blocks.  Both routes
+    that route runs the same chain.  Both routes
     check the residual of the original equations against ``linear_tol``,
     with ``A`` applied matrix-free: an assembled matrix never decides
     whether an answer is accepted.  ``transport_pattern`` holds the CSR
@@ -740,27 +742,22 @@ class StepSolver:
             # route only to factor it, and at 256^2 holding the map beside
             # that factor would add ~5% to the peak memory
             self.momentum_pattern = ops._Pattern()
+            self._velocity = _velocity_blocks(mesh)
         else:
             self.curl = _stream_curl_matrix(mesh, self.dofs)
             self.curl_t = self.curl.T
             self.weight = sp.diags(self.dual_vol)
-        if method == "nullspace" or mesh.dim == 3:
-            # the modes of G^T W G: the 2d pressure recovery and the 3d
-            # separable pressure block
-            self._pressure = _Separable(mesh, ["neumann"] * mesh.dim,
-                                        [1.0] * mesh.dim)
-            # G 1 = 0: G^T W G is singular along the constants only, the
-            # (0, ..., 0) mode, whose coefficient in every right-hand side
-            # G^T W r is zero but for roundoff
-            eig = self._pressure.eig.copy()
-            eig.flat[0] = 1.0
-            self._pressure_inv = 1.0 / eig
-            self._pressure_inv.flat[0] = 0.0
-        # the separable velocity blocks exist in 3d only: the 2d saddle
-        # route, the tests' algebraic reference for the reduced one, keeps
-        # only the factored blocks
-        self._velocity = (_velocity_blocks(mesh)
-                          if method == "saddle" and mesh.dim == 3 else None)
+        # the modes of G^T W G: the pressure recovery of the reduced route
+        # and the separable pressure block of the saddle route
+        self._pressure = _Separable(mesh, ["neumann"] * mesh.dim,
+                                    [1.0] * mesh.dim)
+        # G 1 = 0: G^T W G is singular along the constants only, the
+        # (0, ..., 0) mode, whose coefficient in every right-hand side
+        # G^T W r is zero but for roundoff
+        eig = self._pressure.eig.copy()
+        eig.flat[0] = 1.0
+        self._pressure_inv = 1.0 / eig
+        self._pressure_inv.flat[0] = 0.0
 
     def _picard_start(self, state: TimeState, dt):
         """The velocity from which the Picard loop of a step from ``state``
@@ -915,28 +912,32 @@ class StepSolver:
 
             return precond
 
-        def direct():
-            # assembled afresh: the last resort shares no pattern with the
+        def saddle_lu():
+            # assembled afresh: the exact link shares no pattern with the
             # Krylov product and the blocks
             K = sp.bmat([[assemble(), grad, None],
                          [div_c, None, m[:, None]],
                          [None, m[None, :], None]], format="csc")
             lu = _splu(K, "momentum saddle system", stats)
-            sol = lu.solve(rhs)
-            # one step of iterative refinement with the same factor: the
-            # pivoting on the indefinite matrix alone leaves max |div u|
-            # near the 1e-10 that step_audit flags on stretched 3d grids
-            return sol + lu.solve(rhs - K @ sol)
+
+            def precond(r):
+                # one step of iterative refinement with the same factor:
+                # the pivoting on the indefinite matrix alone leaves
+                # max |div u| near the 1e-10 that step_audit flags on
+                # stretched 3d grids
+                sol = lu.solve(r)
+                return sol + lu.solve(r - K @ sol)
+
+            return precond
 
         def split(x):
             # the check applies A matrix-free, never the assembled A
             u_vec, p_vec = x[:nu], x[nu:nu + nc]
             return u_vec, p_vec, self._residual(apply(u_vec), u_vec, p_vec, b)
 
-        links = ((factor_blocks,) if self._velocity is None
-                 else (separable_blocks, factor_blocks))
-        return self.linear.solve(apply_saddle, links, rhs, split, linear_tol,
-                                 stats, direct)
+        return self.linear.solve(apply_saddle,
+                                 (separable_blocks, factor_blocks, saddle_lu),
+                                 rhs, split, linear_tol, stats)
 
     def momentum_solve(self, prev: TimeState, fluxes: ops.MassFluxSet, mu_t,
                        f_faces, dt, scheme="centered", linear_tol=1e-9,
@@ -985,8 +986,8 @@ def advance_timestep(state: TimeState, cfg: SolverConfig, mu_law,
     full per-direction arrays) or None.  Returns ``(new_state, StepStats)``;
     raises :class:`PicardDivergenceError` when the iteration cap is hit (a
     solver signal: a solution of the nonlinear system exists regardless).
-    A stalled step is first retried with every momentum system solved
-    directly (see :class:`LinearSolve`): a lagged-factor answer within
+    A stalled step is first retried with every momentum system answered
+    by the exact link (see :class:`LinearSolve`): a lagged answer within
     ``linear_tol`` can still hold the Picard residual above a
     ``picard_tol`` near its roundoff floor.  The returned stats count the
     work of both attempts.

@@ -246,7 +246,7 @@ def rhs_preconditionings(problem, cfg):
 def assert_matches_direct_solve(mesh, args, answer):
     """The answer ``(u, p, res)`` of ``StepSolver.momentum_solve(*args)``
     meets ``linear_tol`` and matches a ``lagged=False`` solve of the same
-    system.  Each answer's residual ``r`` is relative to ``max(|b|, 1)`` and
+    system, which the exact last link of the chain answers alone.  Each answer's residual ``r`` is relative to ``max(|b|, 1)`` and
     bounds the 2-norm of ``K x - rhs`` for the bordered saddle matrix ``K``,
     so two answers within ``linear_tol`` differ by at most ``2 linear_tol
     max(|b|, 1) / sigma_min(K)`` in velocity and pressure together."""

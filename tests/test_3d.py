@@ -76,8 +76,8 @@ def test_saddle_solve_is_divergence_free_on_stretched_3d(rng):
     assert np.max(np.abs(ops.divergence(u).values)) <= 1e-12
 
 
-def stretched_mesh(n):
-    return build_mesh([AxisPartition.geometric(0.0, 1.0, n, 3.0)] * 3)
+def stretched_mesh(n, dim=3):
+    return build_mesh([AxisPartition.geometric(0.0, 1.0, n, 3.0)] * dim)
 
 
 def _g(s):
@@ -124,7 +124,8 @@ class TestBlockPreconditionedSaddle:
     preconditioner: separable velocity and Cahouet-Chabard pressure blocks
     first.  A rejected answer builds fresh separable blocks, then a fresh
     factor pair of the velocity block and the variable-density pressure
-    Laplacian, then falls back to the direct saddle LU."""
+    Laplacian, then the exact link, the saddle LU, which is then held like
+    the others.  The 2d saddle route runs the same chain."""
 
     DT = 0.02
 
@@ -133,16 +134,17 @@ class TestBlockPreconditionedSaddle:
         """A random system, or, given the mass fluxes ``near`` of another
         one, a system 5% away from their (rho, u), as between two Picard
         iterations."""
+        axes = range(mesh.dim)
         rho = rng.uniform(1.0, 2.0, mesh.n_cells)
-        adv = [rng.uniform(-1, 1, mesh.faces_shape(i)) for i in range(3)]
+        adv = [rng.uniform(-1, 1, mesh.faces_shape(i)) for i in axes]
         if near is not None:
             rho = near.rho.values * (1.0 + 0.05 * (rho - 1.5))
-            adv = [near.u.shaped(i) + 0.05 * adv[i] for i in range(3)]
+            adv = [near.u.shaped(i) + 0.05 * adv[i] for i in axes]
         rho = CellScalarField(mesh, rho)
         adv = VelocityField.from_interior(mesh, adv)
         return (state_at(rho, adv), ops.mass_fluxes(rho, adv),
                 ops.viscosity_tensor(rho, lambda r: 0.1 + 0.1 * r),
-                [rng.uniform(-1, 1, mesh.faces_shape(i)) for i in range(3)])
+                [rng.uniform(-1, 1, mesh.faces_shape(i)) for i in axes])
 
     def _oracle(self, mesh, system):
         """Direct solve of the bordered system [[A, G, 0], [D, 0, m],
@@ -158,8 +160,9 @@ class TestBlockPreconditionedSaddle:
                       m[:, None]],
                      [None, m[None, :], None]], format="csc")
         rhs = np.zeros(K.shape[0])
-        rhs[:dofs.n_dofs] = dofs.pack(prev.rho_dual) * dofs.pack(
-            [prev.u.shaped(i) for i in range(3)]) / self.DT + dofs.pack(f)
+        b = dofs.pack(prev.rho_dual) * dofs.pack(
+            [prev.u.shaped(i) for i in range(mesh.dim)]) / self.DT
+        rhs[:dofs.n_dofs] = b + dofs.pack(f)
         sol = spla.spsolve(K, rhs)
         return sol[:dofs.n_dofs], sol[dofs.n_dofs:dofs.n_dofs + mesh.n_cells]
 
@@ -169,7 +172,8 @@ class TestBlockPreconditionedSaddle:
 
     def _assert_matches(self, mesh, system, u, p):
         u_ref, p_ref = self._oracle(mesh, system)
-        u_vec = ops.FaceDofMap(mesh).pack([u.shaped(i) for i in range(3)])
+        u_vec = ops.FaceDofMap(mesh).pack([u.shaped(i)
+                                           for i in range(mesh.dim)])
         assert np.max(np.abs(u_vec - u_ref)) <= 1e-9
         assert np.max(np.abs(p.values - p_ref)) <= 1e-9
 
@@ -493,33 +497,55 @@ class TestBlockPreconditionedSaddle:
     def test_chain_order(self, rng, monkeypatch):
         # every GMRES cycle stalls: the held blocks, fresh separable blocks
         # and the fresh factor pair each get one cycle, in that order, and
-        # the direct saddle LU answers
+        # the saddle LU answers; the 2d saddle route runs the same chain
+        real_splu = solver_module._splu
+        for dim in (3, 2):
+            mesh = stretched_mesh(6, dim)
+            solver = StepSolver(mesh, "saddle")
+            self._solve(solver, self._system(mesh, rng), StepStats())
+            log = []
+            stall = KrylovStall(_gmres, stall_from=1)
+
+            def logged_gmres(*args, **kwargs):
+                log.append("GMRES")
+                return stall(*args, **kwargs)
+
+            def logged_splu(matrix, what, *args, **kwargs):
+                log.append(what)
+                return real_splu(matrix, what, *args, **kwargs)
+
+            monkeypatch.setattr(GMRES, logged_gmres)
+            monkeypatch.setattr(solver_module, "_splu", logged_splu)
+            system = self._system(mesh, rng)
+            u, p, res = self._solve(solver, system, StepStats())
+            assert log == ["GMRES", "GMRES", "momentum block",
+                           "pressure Schur approximation", "GMRES",
+                           "momentum saddle system"]
+            assert res <= 1e-9
+            monkeypatch.undo()
+            self._assert_matches(mesh, system, u, p)
+            assert np.max(np.abs(ops.divergence(u).values)) <= 1e-12
+
+    def test_exact_link_is_held(self, rng, monkeypatch):
+        # a first system whose every GMRES cycle stalls is answered by the
+        # saddle LU, which is then held: GMRES with it answers a nearby
+        # system, with no factorization and no walk down the chain
         mesh = stretched_mesh(6)
         solver = StepSolver(mesh)
-        self._solve(solver, self._system(mesh, rng), StepStats())
-        log = []
-        stall = KrylovStall(_gmres, stall_from=1)
-        real_splu = solver_module._splu
-
-        def logged_gmres(*args, **kwargs):
-            log.append("GMRES")
-            return stall(*args, **kwargs)
-
-        def logged_splu(matrix, what, *args, **kwargs):
-            log.append(what)
-            return real_splu(matrix, what, *args, **kwargs)
-
-        monkeypatch.setattr(GMRES, logged_gmres)
-        monkeypatch.setattr(solver_module, "_splu", logged_splu)
-        system = self._system(mesh, rng)
-        u, p, res = self._solve(solver, system, StepStats())
-        assert log == ["GMRES", "GMRES", "momentum block",
-                       "pressure Schur approximation", "GMRES",
-                       "momentum saddle system"]
-        assert res <= 1e-9
+        first = self._system(mesh, rng)
+        monkeypatch.setattr(GMRES, KrylovStall(_gmres, stall_from=1))
+        stats = StepStats()
+        self._solve(solver, first, stats)
+        assert stats.factorizations == 3
+        held = solver.linear._precond
         monkeypatch.undo()
+        system = self._system(mesh, rng, near=first[1])
+        stats = StepStats()
+        u, p, res = self._solve(solver, system, stats)
+        assert solver.linear._precond is held
+        assert stats.factorizations == 0 and stats.krylov_iterations > 0
+        assert res <= 1e-9
         self._assert_matches(mesh, system, u, p)
-        assert np.max(np.abs(ops.divergence(u).values)) <= 1e-12
 
     def test_density_ratio_1000_never_reaches_direct_saddle_lu(
             self, monkeypatch):

@@ -527,6 +527,10 @@ class TestTypedErrors:
         rho = random_cells(mesh33, rng, 1.0, 2.0)
         mu_t = ops.viscosity_tensor(rho, lambda r: 0.1 + 0.1 * r)
         fluxes = ops.mass_fluxes(rho, random_velocity(mesh33, rng))
+        # on the saddle route GMRES stalls with the separable blocks, so
+        # that the chain reaches its first SuperLU link; the reduced
+        # route's first link is its factor
+        monkeypatch.setattr(GMRES, KrylovStall(_gmres, stall_from=1))
         fault = SpluFault(spla.splu, fail_from=1)
         monkeypatch.setattr(spla, "splu", fault)
         with pytest.raises(LinearSolveError):
@@ -635,7 +639,8 @@ class TestLaggedFactor:
         linear_tol = 1e-9
         u, p, res = solver.momentum_solve(prev, fluxes, mu_t, f, 0.05,
                                           linear_tol=linear_tol, stats=stats)
-        # without direct() the fresh factor answers with no second GMRES
+        # the fresh factor is the chain's exact link: it answers with no
+        # second GMRES
         assert stall.calls == 1
         assert lu_calls.calls == 1 and stats.factorizations == 2
         assert res <= linear_tol
