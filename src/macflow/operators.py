@@ -233,9 +233,9 @@ def diffusion_apply(mu_t: ViscosityTensorField, u: VelocityField) -> VelocityFie
 def strain_product(mu_t: ViscosityTensorField, u: VelocityField,
                    v: VelocityField | None = None) -> float:
     """Integral of mu D(u) : D(v) over the domain (v defaults to u)."""
-    v = u if v is None else v
     mesh = u.mesh
-    du, dv = strain_tensor(u), strain_tensor(v)
+    du = strain_tensor(u)
+    dv = du if v is None else strain_tensor(v)
     total = 0.0
     for i in range(mesh.dim):
         for j in range(mesh.dim):

@@ -25,14 +25,15 @@ and the SuperLU factor of the transport matrix, and its cycle is BiCGSTAB,
 whose answer is accepted only within that max-norm bound.  The momentum
 cycle is GMRES.  In 2d the momentum chain is one link, the SuperLU
 factor of the reduced stream-function system, and GMRES applies the
-momentum operator matrix-free.  On the saddle route, which 3d takes, the
-approximate links are block upper-triangular (Cahouet & Chabard, IJNMF 8,
-1988; Elman, Silvester & Wathen, Finite Elements and Fast Iterative
-Solvers, 2nd ed., 2014, ch. 9): an approximation of the velocity block and
-a variable-density Cahouet-Chabard approximation of the pressure Schur
-complement; GMRES multiplies by the momentum matrix, assembled once per
-solve.  The first blocks factor nothing: at constant coefficients both have
-a tensor-product form on the Cartesian grid, inverted by fast
+momentum operator matrix-free.  In 3d, on the saddle route, both
+approximate links are one block upper-triangular form (Cahouet &
+Chabard, IJNMF 8, 1988; Elman, Silvester & Wathen, Finite Elements and
+Fast Iterative Solvers, 2nd ed., 2014, ch. 9), which each fills with an
+approximation of the velocity block and a variable-density
+Cahouet-Chabard approximation of the pressure Schur complement; GMRES
+multiplies by the momentum matrix, assembled once per solve.  The first
+blocks factor nothing: at constant coefficients both have a
+tensor-product form on the Cartesian grid, inverted by fast
 diagonalization (Deville, Fischer & Mund, High-Order Methods for
 Incompressible Fluid Flow, 2002), so a 3d run at moderate density contrast
 makes no SuperLU factorization.  SuperLU factors of the two blocks are the
@@ -170,9 +171,10 @@ class SolverError(RuntimeError):
 
 
 class TransportSolveError(SolverError):
-    def __init__(self, message, condition_estimate=None):
+    def __init__(self, message, condition_estimate=None, residual=None):
         super().__init__(message)
         self.condition_estimate = condition_estimate
+        self.residual = residual
 
 
 class LinearSolveError(SolverError):
@@ -277,8 +279,10 @@ class StepStats:
 SUPERNODE_RELAX = 1    # SuperLU relaxes no supernode: no stored zeros
 
 
-def _splu(matrix, what, stats=None, symmetric_pattern=False):
-    """SuperLU factors of ``matrix``, counted into ``stats`` when given."""
+def _splu(matrix, what, stats, symmetric_pattern=False):
+    """SuperLU factors of ``matrix``, counted into ``stats``.  A failed
+    factorization, a singular matrix or an allocation SuperLU could not
+    make, raises :class:`LinearSolveError` naming the system ``what``."""
     # MMD on the A^T+A pattern beats COLAMD on the 2d reduced systems, the
     # 3d velocity block and the bordered pressure Laplacian, but degrades
     # badly on the indefinite saddle matrix, which keeps COLAMD.  On the
@@ -291,11 +295,11 @@ def _splu(matrix, what, stats=None, symmetric_pattern=False):
     kwargs = {"permc_spec": "MMD_AT_PLUS_A"} if symmetric_pattern else {}
     try:
         lu = spla.splu(matrix.tocsc(), relax=SUPERNODE_RELAX, **kwargs)
-    except RuntimeError as exc:
-        raise LinearSolveError(f"{what}: factorization failed: {exc}") from exc
-    if stats is not None:
-        stats.factorizations += 1
-        stats.factor_nnz += lu.nnz
+    except (RuntimeError, MemoryError) as exc:
+        raise LinearSolveError(
+            f"{what}: factorization failed: {exc!r}") from exc
+    stats.factorizations += 1
+    stats.factor_nnz += lu.nnz
     return lu
 
 
@@ -312,7 +316,10 @@ def transport_solve(rho_n: CellScalarField, u: VelocityField, dt,
     exceeds ``TRANSPORT_RTOL`` times the largest right-hand side entry,
     which bounds the dual-cell mass defect that
     :func:`~macflow.verification.step_audit` checks on any grid; an exact
-    answer that misses that bound must still meet ``linear_tol``.  Work is
+    answer that misses that bound must still meet ``linear_tol`` in the
+    relative 2-norm, or :class:`TransportSolveError` carries that residual
+    in ``residual`` and the diagonal ratio of the matrix in
+    ``condition_estimate``, as a failed factorization does.  Work is
     counted into ``stats`` when given.  ``step_solver`` supplies the CSR
     pattern of the matrix and the chain, whose held link and last accepted
     density carry over to the next system; without it a fresh chain starts
@@ -331,6 +338,10 @@ def transport_solve(rho_n: CellScalarField, u: VelocityField, dt,
         inv_diag = 1.0 / A.diagonal()
         return lambda r: inv_diag * r
 
+    def condition_estimate():
+        diag = np.abs(A.diagonal())
+        return float(diag.max() / max(diag.min(), np.finfo(float).tiny))
+
     def factor():
         # of the two couplings across a face only the upwind one is nonzero;
         # with the others stored, the factor keeps their fill too: 3.41 M
@@ -341,9 +352,8 @@ def transport_solve(rho_n: CellScalarField, u: VelocityField, dt,
             return _splu(matrix, "transport matrix", stats,
                          symmetric_pattern=True).solve
         except LinearSolveError as exc:
-            diag = np.abs(A.diagonal())
-            est = float(diag.max() / max(diag.min(), np.finfo(float).tiny))
-            raise TransportSolveError(str(exc), condition_estimate=est) from exc
+            raise TransportSolveError(
+                str(exc), condition_estimate=condition_estimate()) from exc
 
     def check(rho):
         return rho, np.max(np.abs(A @ rho - rhs))
@@ -356,7 +366,8 @@ def transport_solve(rho_n: CellScalarField, u: VelocityField, dt,
                                                      linear_tol):
             raise TransportSolveError(
                 f"transport solve residual {res / scale:g} above bound "
-                f"{linear_tol:g}", condition_estimate=float(res / scale))
+                f"{linear_tol:g}", condition_estimate=condition_estimate(),
+                residual=float(res / scale))
     return CellScalarField(mesh, rho)
 
 
@@ -726,14 +737,18 @@ class StepSolver:
     link, and exact (see :class:`LinearSolve`).
 
     In 3d ("saddle") the Lagrange-bordered system ``[[A, G, 0], [D, 0,
-    m], [0, m^T, 0]]`` is solved by GMRES, preconditioned block
-    upper-triangularly: the pressure part ``z_p = L^-1 r_p / dt -
-    (mu_K/|K|) r_p``, projected to the mean the last row asks for, with
-    ``L = D diag(1/rho_D) G``; then the velocity part ``z_u = A^-1 (r_u -
-    G z_p)``.  ``A`` is assembled once per solve, through the held
-    ``momentum_pattern``, and serves the GMRES product.  The blocks come
-    from a chain of three links (see :class:`LinearSolve`), the last of
-    them exact, of which the solver holds the one that last answered:
+    m], [0, m^T, 0]]`` is solved by GMRES.  ``A`` is assembled once per
+    solve, through the held ``momentum_pattern``, and serves the GMRES
+    product.  Both approximate links are one block upper-triangular
+    preconditioner (Elman, Silvester & Wathen, 2014, ch. 9), which differ
+    only in the two blocks they supply: a Schur part that gives the
+    multiplier ``lam`` and ``y ~ L^-1 (r_p - m lam)`` with the mean the
+    last row asks for, ``L = D diag(1/rho_D) G``, and a velocity part
+    ``~ A^-1``.  Then ``z_p = y / dt - (mu_K/|K|) (r_p - m lam)``, its
+    viscous term projected to zero mean so that ``z_p`` keeps the mean of
+    ``y / dt``, and ``z_u = A^-1 (r_u - G z_p)``.  The chain has three
+    links (see :class:`LinearSolve`), the last of them exact, of which the
+    solver holds the one that last answered:
 
     1. Separable blocks, which factor nothing.  Both blocks have a
        tensor-product form on the Cartesian grid at constant coefficients
@@ -760,9 +775,7 @@ class StepSolver:
        instead of walking the chain again.
 
     A new link is built only when GMRES misses its target or the residual
-    check below fails.  ``method`` overrides the choice only so that tests
-    can run the algebraically equivalent 2d saddle route as a reference;
-    that route runs the same chain.  Both routes
+    check below fails.  Both routes
     check the residual of the original equations against ``linear_tol``,
     with ``A`` applied matrix-free: an assembled matrix never decides
     whether an answer is accepted.  ``transport_pattern`` holds the CSR
@@ -777,7 +790,7 @@ class StepSolver:
     extrapolated velocity (see :meth:`_picard_start`).
     """
 
-    def __init__(self, mesh: MacMesh, method=None):
+    def __init__(self, mesh: MacMesh):
         self.mesh = mesh
         self.dofs = ops.FaceDofMap(mesh)
         self.grad = ops.pressure_gradient_matrix(mesh, self.dofs)
@@ -786,26 +799,21 @@ class StepSolver:
         self.cell_vol = mesh.cell_volumes.ravel()
         self.dual_vol = self.dofs.pack([mesh.dual_volumes(i)
                                         for i in range(mesh.dim)])
-        if method is None:
-            method = "nullspace" if mesh.dim == 2 else "saddle"
-        if method == "nullspace" and mesh.dim != 2:
-            raise SolverError("the stream-function route only exists in 2d")
-        self.method = method
-        self.linear = LinearSolve(GMRES_RESTART if method == "nullspace"
+        self.linear = LinearSolve(GMRES_RESTART if mesh.dim == 2
                                   else SADDLE_RESTART)
         self.transport_pattern = ops._Pattern()
         self.transport = _TransportSolve(TRANSPORT_MAXITER)
         self._last_step = None      # (published state, u before it, dt)
-        if method == "saddle":
+        if mesh.dim == 2:
+            self.curl = _stream_curl_matrix(mesh, self.dofs)
+            self.curl_t = self.curl.T
+            self.weight = sp.diags(self.dual_vol)
+        else:
             # the saddle route assembles A on every solve; the reduced
             # route only to factor it, and at 256^2 holding the map beside
             # that factor would add ~5% to the peak memory
             self.momentum_pattern = ops._Pattern()
             self._velocity = _velocity_blocks(mesh)
-        else:
-            self.curl = _stream_curl_matrix(mesh, self.dofs)
-            self.curl_t = self.curl.T
-            self.weight = sp.diags(self.dual_vol)
         # the modes of G^T W G: the pressure recovery of the reduced route
         # and the separable pressure block of the saddle route
         self._pressure = _Separable(mesh, ["neumann"] * mesh.dim,
@@ -910,13 +918,18 @@ class StepSolver:
         visc = mu_t.mu_cells.ravel() / m
         vol = self.mesh.domain_measure
 
-        def pressure_part(r, y, lam):
-            # z_p from the Schur part y ~ L^-1 (r_p - m lam) with the mean
-            # the last row asks for; the viscous part is projected to zero
-            # mean so that it keeps that mean
-            v = visc * (r[nu:nu + nc] - m * lam)
-            v -= np.dot(m, v) / vol
-            return y / dt - v
+        def block_triangular(schur, velocity):
+            # the preconditioner of both approximate links (see the class
+            # docstring): schur(r) gives (y, lam), velocity(x) ~ A^-1 x
+            def precond(r):
+                y, lam = schur(r)
+                v = visc * (r[nu:nu + nc] - m * lam)
+                v -= np.dot(m, v) / vol
+                z_p = y / dt - v
+                return np.concatenate([velocity(r[:nu] - grad @ z_p), z_p,
+                                       [lam]])
+
+            return precond
 
         def separable_blocks():
             # the blocks at constant coefficients, inverted by fast
@@ -935,22 +948,23 @@ class StepSolver:
                                                self.dofs.offsets,
                                                self.dofs.interior)]
 
-            def precond(r):
+            def schur(r):
                 # G 1 = 0, so that L y = r_p - m lam is solvable; the
                 # pseudo-inverse's answer has zero mean, and the last row
                 # asks for the mean dt r_-1
                 lam = r[nu:nu + nc].sum() / vol
-                y = (dt * r[-1] / vol
-                     - pressure.solve(pressure_inv, r[nu:nu + nc] - m * lam)
-                     / kappa)
-                z_p = pressure_part(r, y, lam)
-                x = scale * w * (r[:nu] - grad @ z_p)
+                return (dt * r[-1] / vol
+                        - pressure.solve(pressure_inv, r[nu:nu + nc] - m * lam)
+                        / kappa), lam
+
+            def velocity(x):
+                x = scale * w * x
                 z_u = np.empty(nu)
                 for blk, inv, part in blocks:
                     z_u[part] = blk.solve(inv, x[part])
-                return np.concatenate([scale * z_u, z_p, [lam]])
+                return scale * z_u
 
-            return precond
+            return block_triangular(schur, velocity)
 
         def factor_blocks():
             a_lu = _splu(A.tocsc(), "momentum block", stats,
@@ -961,15 +975,13 @@ class StepSolver:
                          "pressure Schur approximation", stats,
                          symmetric_pattern=True)
 
-            def precond(r):
+            def schur(r):
                 # the bordered solve gives L^-1 r_p with the mean the last
                 # row asks for, and the multiplier
                 y = l_lu.solve(np.append(r[nu:nu + nc], dt * r[-1]))
-                z_p = pressure_part(r, y[:nc], y[-1])
-                return np.concatenate([a_lu.solve(r[:nu] - grad @ z_p), z_p,
-                                       y[-1:]])
+                return y[:nc], y[-1]
 
-            return precond
+            return block_triangular(schur, a_lu.solve)
 
         def saddle_lu():
             # assembled afresh: the exact link shares no pattern with the
@@ -1021,12 +1033,12 @@ class StepSolver:
             return ops._momentum_matrix(mass, fluxes, mu_t, scheme, dofs,
                                         pattern)
 
-        if self.method == "saddle":
-            u_vec, p_vec, res = self._saddle(apply, assemble, b, rho_dual_new,
-                                             mu_t, dt, linear_tol, stats)
-        else:
+        if mesh.dim == 2:
             u_vec, p_vec, res = self._reduced(apply, assemble, b, linear_tol,
                                               stats)
+        else:
+            u_vec, p_vec, res = self._saddle(apply, assemble, b, rho_dual_new,
+                                             mu_t, dt, linear_tol, stats)
         if res > linear_tol:
             raise LinearSolveError(
                 f"momentum solve residual {res:g} above bound {linear_tol:g}; "

@@ -9,10 +9,16 @@ def mesh22():
     return build_mesh([AxisPartition.uniform(0.0, 1.0, 2)] * 2)
 
 
+def mesh3_in(dim):
+    """Three cells along each of ``dim`` axes, non-uniform along every
+    one."""
+    return build_mesh([[0.0, 0.2, 0.5, 1.0], [0.0, 0.4, 0.7, 1.0],
+                       [0.0, 0.3, 0.6, 1.0]][:dim])
+
+
 @pytest.fixture
 def mesh33():
-    # non-uniform in both directions
-    return build_mesh([[0.0, 0.2, 0.5, 1.0], [0.0, 0.4, 0.7, 1.0]])
+    return mesh3_in(2)
 
 
 @pytest.fixture
@@ -49,19 +55,22 @@ def state_at(rho, u):
 class SpluFault:
     """Stand-in for ``scipy.sparse.linalg.splu`` that counts its calls,
     keeps the keyword arguments and the factor of each call that returned
-    in ``factors``, and raises RuntimeError, as SuperLU does on a singular
-    matrix, from call ``fail_from`` on (1-based; None never fails)."""
+    in ``factors``, and raises ``error`` from call ``fail_from`` on
+    (1-based; None never fails): RuntimeError, as SuperLU does on a
+    singular matrix, or MemoryError, as scipy does when SuperLU cannot
+    allocate."""
 
-    def __init__(self, real, fail_from=None):
+    def __init__(self, real, fail_from=None, error=RuntimeError):
         self.real = real
         self.fail_from = fail_from
+        self.error = error
         self.calls = 0
         self.factors = []
 
     def __call__(self, *args, **kwargs):
         self.calls += 1
         if self.fail_from is not None and self.calls >= self.fail_from:
-            raise RuntimeError("Factor is exactly singular")
+            raise self.error("SuperLU failed")
         lu = self.real(*args, **kwargs)
         self.factors.append((kwargs, lu))
         return lu
@@ -243,19 +252,50 @@ def rhs_preconditionings(problem, cfg):
     return per_step
 
 
+def direct_saddle_solve(prev, fluxes, mu_t, f_faces, dt, scheme="centered"):
+    """Direct solve of the bordered system ``[[A, G, 0], [D, 0, m], [0,
+    m^T, 0]]`` of ``StepSolver.momentum_solve(prev, fluxes, mu_t, f_faces,
+    dt, scheme)``, assembled here from the operator matrices.  Returns
+    ``(u_vec, p_vec, K, rhs)``: the velocity packed by ``ops.FaceDofMap``,
+    the pressure, the bordered matrix and its right-hand side."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    from macflow import operators as ops
+
+    mesh = prev.rho.mesh
+    dofs = ops.FaceDofMap(mesh)
+    nu, nc = dofs.n_dofs, mesh.n_cells
+    A = (sp.diags(dofs.pack(ops.dual_cell_density(fluxes.rho)) / dt)
+         + ops.convection_matrix(fluxes, scheme, dofs)
+         - ops.diffusion_matrix(mesh, mu_t, dofs))
+    m = mesh.cell_volumes.ravel()
+    K = sp.bmat([[A, ops.pressure_gradient_matrix(mesh, dofs), None],
+                 [ops.divergence_constraint_matrix(mesh, dofs), None,
+                  m[:, None]],
+                 [None, m[None, :], None]], format="csc")
+    rhs = np.zeros(K.shape[0])
+    rhs[:nu] = dofs.pack(prev.rho_dual) * dofs.pack(
+        [prev.u.shaped(i) for i in range(mesh.dim)]) / dt
+    if f_faces is not None:
+        rhs[:nu] += dofs.pack(f_faces)
+    sol = spla.spsolve(K, rhs)
+    return sol[:nu], sol[nu:nu + nc], K, rhs
+
+
 def assert_matches_direct_solve(mesh, args, answer):
     """The answer ``(u, p, res)`` of ``StepSolver.momentum_solve(*args)``
     meets ``linear_tol`` and matches a ``lagged=False`` solve of the same
-    system, which the exact last link of the chain answers alone.  Each answer's residual ``r`` is relative to ``max(|b|, 1)`` and
-    bounds the 2-norm of ``K x - rhs`` for the bordered saddle matrix ``K``,
-    so two answers within ``linear_tol`` differ by at most ``2 linear_tol
-    max(|b|, 1) / sigma_min(K)`` in velocity and pressure together."""
-    import scipy.sparse as sp
-
+    system, which the exact last link of the chain answers alone.  Each
+    answer's residual ``r`` is relative to ``max(|b|, 1)`` and bounds the
+    2-norm of ``K x - rhs`` for the bordered saddle matrix ``K`` (see
+    :func:`direct_saddle_solve`), so two answers within ``linear_tol``
+    differ by at most ``2 linear_tol max(|b|, 1) / sigma_min(K)`` in
+    velocity and pressure together."""
     from macflow import operators as ops
     from macflow.solver import StepSolver, StepStats
 
-    prev, fluxes, mu_t, f_faces, dt, scheme, linear_tol, _ = args
+    linear_tol = args[6]
     u, p, res = answer
     assert res <= linear_tol
     ref = StepSolver(mesh)
@@ -264,21 +304,10 @@ def assert_matches_direct_solve(mesh, args, answer):
     u_ref, p_ref, res_ref = ref.momentum_solve(*args[:-1], stats)
     assert stats.krylov_iterations == 0 and res_ref <= linear_tol
 
-    dofs = ops.FaceDofMap(mesh)
-    b = dofs.pack(prev.rho_dual) * dofs.pack(
-        [prev.u.shaped(i) for i in range(mesh.dim)]) / dt
-    if f_faces is not None:
-        b = b + dofs.pack(f_faces)
-    A = (sp.diags(dofs.pack(ops.dual_cell_density(fluxes.rho)) / dt)
-         + ops.convection_matrix(fluxes, scheme, dofs)
-         - ops.diffusion_matrix(mesh, mu_t, dofs))
-    m = mesh.cell_volumes.ravel()
-    K = sp.bmat([[A, ops.pressure_gradient_matrix(mesh, dofs), None],
-                 [ops.divergence_constraint_matrix(mesh, dofs), None,
-                  m[:, None]],
-                 [None, m[None, :], None]])
+    _, _, K, rhs = direct_saddle_solve(*args[:6])
     sigma_min = np.linalg.svd(K.toarray(), compute_uv=False)[-1]
-    bound = 2.0 * linear_tol * max(np.linalg.norm(b), 1.0) / sigma_min
+    bound = 2.0 * linear_tol * max(np.linalg.norm(rhs), 1.0) / sigma_min
+    dofs = ops.FaceDofMap(mesh)
     du = dofs.pack([u.shaped(i) - u_ref.shaped(i) for i in range(mesh.dim)])
     dp = p.values - p_ref.values
     assert np.hypot(np.linalg.norm(du), np.linalg.norm(dp)) <= bound

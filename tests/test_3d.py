@@ -12,9 +12,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import (GMRES, TRANSPORT, KrylovStall, SpluFault,
-                      TransportSpy, assert_matches_direct_solve, extrapolated,
-                      picard_start_gain, rhs_preconditionings, same_velocity,
-                      state_at, true_fill, warm_started_solve)
+                      TransportSpy, assert_matches_direct_solve,
+                      direct_saddle_solve, extrapolated, picard_start_gain,
+                      rhs_preconditionings, same_velocity, state_at,
+                      true_fill, warm_started_solve)
 from macflow import operators as ops
 from macflow.fields import CellScalarField, VelocityField, norm_h1
 from macflow.mesh import AxisPartition, build_mesh
@@ -76,8 +77,8 @@ def test_saddle_solve_is_divergence_free_on_stretched_3d(rng):
     assert np.max(np.abs(ops.divergence(u).values)) <= 1e-12
 
 
-def stretched_mesh(n, dim=3):
-    return build_mesh([AxisPartition.geometric(0.0, 1.0, n, 3.0)] * dim)
+def stretched_mesh(n):
+    return build_mesh([AxisPartition.geometric(0.0, 1.0, n, 3.0)] * 3)
 
 
 def _g(s):
@@ -125,7 +126,9 @@ class TestBlockPreconditionedSaddle:
     first.  A rejected answer builds fresh separable blocks, then a fresh
     factor pair of the velocity block and the variable-density pressure
     Laplacian, then the exact link, the saddle LU, which is then held like
-    the others.  The 2d saddle route runs the same chain."""
+    the others.  Answers are checked against the direct solve of the
+    bordered system assembled from the operator matrices
+    (``conftest.direct_saddle_solve``)."""
 
     DT = 0.02
 
@@ -146,32 +149,12 @@ class TestBlockPreconditionedSaddle:
                 ops.viscosity_tensor(rho, lambda r: 0.1 + 0.1 * r),
                 [rng.uniform(-1, 1, mesh.faces_shape(i)) for i in axes])
 
-    def _oracle(self, mesh, system):
-        """Direct solve of the bordered system [[A, G, 0], [D, 0, m],
-        [0, m^T, 0]] assembled here from the operator matrices."""
-        prev, fluxes, mu_t, f = system
-        dofs = ops.FaceDofMap(mesh)
-        A = (sp.diags(dofs.pack(ops.dual_cell_density(fluxes.rho)) / self.DT)
-             + ops.convection_matrix(fluxes, "centered", dofs)
-             - ops.diffusion_matrix(mesh, mu_t, dofs))
-        m = mesh.cell_volumes.ravel()
-        K = sp.bmat([[A, ops.pressure_gradient_matrix(mesh, dofs), None],
-                     [ops.divergence_constraint_matrix(mesh, dofs), None,
-                      m[:, None]],
-                     [None, m[None, :], None]], format="csc")
-        rhs = np.zeros(K.shape[0])
-        b = dofs.pack(prev.rho_dual) * dofs.pack(
-            [prev.u.shaped(i) for i in range(mesh.dim)]) / self.DT
-        rhs[:dofs.n_dofs] = b + dofs.pack(f)
-        sol = spla.spsolve(K, rhs)
-        return sol[:dofs.n_dofs], sol[dofs.n_dofs:dofs.n_dofs + mesh.n_cells]
-
     def _solve(self, solver, system, stats, linear_tol=1e-9):
         return solver.momentum_solve(*system, self.DT, linear_tol=linear_tol,
                                      stats=stats)
 
     def _assert_matches(self, mesh, system, u, p):
-        u_ref, p_ref = self._oracle(mesh, system)
+        u_ref, p_ref, _, _ = direct_saddle_solve(*system, self.DT)
         u_vec = ops.FaceDofMap(mesh).pack([u.shaped(i)
                                            for i in range(mesh.dim)])
         assert np.max(np.abs(u_vec - u_ref)) <= 1e-9
@@ -497,34 +480,33 @@ class TestBlockPreconditionedSaddle:
     def test_chain_order(self, rng, monkeypatch):
         # every GMRES cycle stalls: the held blocks, fresh separable blocks
         # and the fresh factor pair each get one cycle, in that order, and
-        # the saddle LU answers; the 2d saddle route runs the same chain
+        # the saddle LU answers
         real_splu = solver_module._splu
-        for dim in (3, 2):
-            mesh = stretched_mesh(6, dim)
-            solver = StepSolver(mesh, "saddle")
-            self._solve(solver, self._system(mesh, rng), StepStats())
-            log = []
-            stall = KrylovStall(_gmres, stall_from=1)
+        mesh = stretched_mesh(6)
+        solver = StepSolver(mesh)
+        self._solve(solver, self._system(mesh, rng), StepStats())
+        log = []
+        stall = KrylovStall(_gmres, stall_from=1)
 
-            def logged_gmres(*args, **kwargs):
-                log.append("GMRES")
-                return stall(*args, **kwargs)
+        def logged_gmres(*args, **kwargs):
+            log.append("GMRES")
+            return stall(*args, **kwargs)
 
-            def logged_splu(matrix, what, *args, **kwargs):
-                log.append(what)
-                return real_splu(matrix, what, *args, **kwargs)
+        def logged_splu(matrix, what, *args, **kwargs):
+            log.append(what)
+            return real_splu(matrix, what, *args, **kwargs)
 
-            monkeypatch.setattr(GMRES, logged_gmres)
-            monkeypatch.setattr(solver_module, "_splu", logged_splu)
-            system = self._system(mesh, rng)
-            u, p, res = self._solve(solver, system, StepStats())
-            assert log == ["GMRES", "GMRES", "momentum block",
-                           "pressure Schur approximation", "GMRES",
-                           "momentum saddle system"]
-            assert res <= 1e-9
-            monkeypatch.undo()
-            self._assert_matches(mesh, system, u, p)
-            assert np.max(np.abs(ops.divergence(u).values)) <= 1e-12
+        monkeypatch.setattr(GMRES, logged_gmres)
+        monkeypatch.setattr(solver_module, "_splu", logged_splu)
+        system = self._system(mesh, rng)
+        u, p, res = self._solve(solver, system, StepStats())
+        assert log == ["GMRES", "GMRES", "momentum block",
+                       "pressure Schur approximation", "GMRES",
+                       "momentum saddle system"]
+        assert res <= 1e-9
+        monkeypatch.undo()
+        self._assert_matches(mesh, system, u, p)
+        assert np.max(np.abs(ops.divergence(u).values)) <= 1e-12
 
     def test_exact_link_is_held(self, rng, monkeypatch):
         # a first system whose every GMRES cycle stalls is answered by the

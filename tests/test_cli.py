@@ -316,8 +316,12 @@ class TestRunCommand:
         for name in ("divergence.coo", "pressure_gradient.coo", "diffusion.coo"):
             assert (outdir / name).exists()
 
+    # SuperLU raises RuntimeError on a singular matrix, and scipy
+    # MemoryError when SuperLU cannot allocate
+    @pytest.mark.parametrize("error", [RuntimeError, MemoryError],
+                             ids=lambda error: error.__name__)
     def test_factorization_failure_names_step(self, tmp_path, monkeypatch,
-                                              capsys):
+                                              capsys, error):
         real = spla.splu
         one_step = SpluFault(real)
         one_step_gmres = KrylovStall(_gmres)
@@ -331,7 +335,7 @@ class TestRunCommand:
         # fail at that first factorization after step 1 of a two-step run;
         # one_step_gmres only counts the calls of step 1, which may be none
         stall = KrylovStall(_gmres, stall_from=one_step_gmres.calls + 1)
-        fault = SpluFault(real, fail_from=one_step.calls + 1)
+        fault = SpluFault(real, fail_from=one_step.calls + 1, error=error)
         monkeypatch.setattr(GMRES, stall)
         monkeypatch.setattr(spla, "splu", fault)
         cfg = small_run_config(tmp_path, solver={"dt": 0.1, "t_end": 0.2})
@@ -342,8 +346,10 @@ class TestRunCommand:
         assert fault.calls == one_step.calls + 1
         assert "solver failure at step 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error", [RuntimeError, MemoryError],
+                             ids=lambda error: error.__name__)
     def test_3d_saddle_failure_names_step(self, tmp_path, monkeypatch,
-                                          capsys):
+                                          capsys, error):
         # in 3d a stalled GMRES builds fresh separable blocks, factors both
         # preconditioner blocks and then falls back to the direct saddle
         # LU; that LU fails in step 2
@@ -360,7 +366,7 @@ class TestRunCommand:
         assert one_step.calls == 0 and one_step_gmres.calls >= 1
         stall = KrylovStall(_gmres, stall_from=one_step_gmres.calls + 1)
         monkeypatch.setattr(GMRES, stall)
-        fault = SpluFault(real, fail_from=one_step.calls + 3)
+        fault = SpluFault(real, fail_from=one_step.calls + 3, error=error)
         monkeypatch.setattr(spla, "splu", fault)
         cfg = small_run_config(tmp_path, mesh=mesh,
                                solver={"dt": 0.1, "t_end": 0.2})

@@ -170,6 +170,25 @@ class TestDiffusion:
             b = ops.strain_product(mu_t, u, v)
             assert abs(a + b) <= 1e-12 * (abs(a) + abs(b))
 
+    def test_strain_product_of_u_with_itself_builds_one_tensor(
+            self, mesh_stretched, rng, monkeypatch):
+        # the step audit's dissipation: D(u) built once, the same bytes as
+        # with v given as u
+        mu_t = ops.viscosity_tensor(positive_cells(mesh_stretched, rng),
+                                    lambda r: r)
+        u = random_velocity(mesh_stretched, rng)
+        expected = ops.strain_product(mu_t, u, u)
+        calls = []
+        real = ops.strain_tensor
+
+        def spy(w):
+            calls.append(w)
+            return real(w)
+
+        monkeypatch.setattr(ops, "strain_tensor", spy)
+        assert ops.strain_product(mu_t, u) == expected
+        assert calls == [u]
+
     def test_weighted_matrix_symmetric(self, mesh33, rng):
         mu_t = ops.viscosity_tensor(positive_cells(mesh33, rng), lambda r: r)
         dofs = ops.FaceDofMap(mesh33)

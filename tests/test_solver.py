@@ -10,7 +10,8 @@ import scipy.sparse.linalg as spla
 
 import macflow
 from conftest import (GMRES, TRANSPORT, KrylovStall, SpluFault,
-                      TransportSpy, assert_matches_direct_solve, extrapolated,
+                      TransportSpy, assert_matches_direct_solve,
+                      direct_saddle_solve, extrapolated, mesh3_in,
                       picard_start_gain, random_cells, random_velocity,
                       rhs_preconditionings, same_velocity, state_at,
                       true_fill, warm_started_solve)
@@ -282,63 +283,71 @@ def _dense_stokes_oracle(mesh, rho_dual, mu, f_faces, dt):
     return dofs, sol[:nu], sol[nu:nu + nc]
 
 
+# the route follows the dimension: the stream-function route in 2d, the
+# saddle route in 3d
+ROUTES = pytest.mark.parametrize("dim", [3, 2], ids=["saddle", "nullspace"])
+
+
 class TestMomentumSolve:
-    def test_rest_state_stays_at_rest(self, mesh33):
-        rho = CellScalarField(mesh33, np.full(mesh33.n_cells, 2.0))
+    @ROUTES
+    def test_rest_state_stays_at_rest(self, dim):
+        mesh = mesh3_in(dim)
+        rho = CellScalarField(mesh, np.full(mesh.n_cells, 2.0))
         mu_t = ops.viscosity_tensor(rho, lambda r: r)
-        rest = VelocityField.zero(mesh33)
-        u, p, res = StepSolver(mesh33, "saddle").momentum_solve(
+        rest = VelocityField.zero(mesh)
+        u, p, res = StepSolver(mesh).momentum_solve(
             state_at(rho, rest), ops.mass_fluxes(rho, rest), mu_t, None, 0.1)
         assert all(np.all(c == 0.0) for c in u.components)
         assert np.allclose(p.values, 0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("method", ["saddle", "nullspace"])
-    def test_divergence_constraint(self, mesh33, rng, method):
-        rho = random_cells(mesh33, rng, 1.0, 2.0)
+    @ROUTES
+    def test_divergence_constraint(self, rng, dim):
+        mesh = mesh3_in(dim)
+        rho = random_cells(mesh, rng, 1.0, 2.0)
         mu_t = ops.viscosity_tensor(rho, lambda r: 0.1 + 0.1 * r)
-        fluxes = ops.mass_fluxes(rho, random_velocity(mesh33, rng))
-        f = [rng.uniform(-1, 1, mesh33.faces_shape(i)) for i in range(2)]
-        u, p, res = StepSolver(mesh33, method).momentum_solve(
-            state_at(rho, VelocityField.zero(mesh33)), fluxes, mu_t, f, 0.05)
+        fluxes = ops.mass_fluxes(rho, random_velocity(mesh, rng))
+        f = [rng.uniform(-1, 1, mesh.faces_shape(i)) for i in range(dim)]
+        u, p, res = StepSolver(mesh).momentum_solve(
+            state_at(rho, VelocityField.zero(mesh)), fluxes, mu_t, f, 0.05)
         div = ops.divergence(u)
         assert np.max(np.abs(div.values)) <= 1e-10
-        assert abs(np.dot(mesh33.cell_volumes.ravel(), p.values)) <= 1e-10
+        assert abs(np.dot(mesh.cell_volumes.ravel(), p.values)) <= 1e-10
 
-    @pytest.mark.parametrize("method", ["saddle", "nullspace"])
-    def test_dense_stokes_oracle(self, rng, method):
-        mesh = build_mesh([AxisPartition.uniform(0, 1, 4)] * 2)
+    @ROUTES
+    def test_dense_stokes_oracle(self, rng, dim):
+        mesh = build_mesh([AxisPartition.uniform(0, 1, 4 if dim == 2 else 3)]
+                          * dim)
         mu = 0.7
         rho = CellScalarField(mesh, rng.uniform(1.0, 2.0, mesh.n_cells))
         rho_dual = ops.dual_cell_density(rho)
         mu_t = ops.viscosity_tensor(rho, lambda r: np.full_like(r, mu))
-        f = [rng.uniform(-1, 1, mesh.faces_shape(i)) for i in range(2)]
+        f = [rng.uniform(-1, 1, mesh.faces_shape(i)) for i in range(dim)]
         dt = 0.2
         # convection off: zero fluxes
         rest = VelocityField.zero(mesh)
-        u, p, _ = StepSolver(mesh, method).momentum_solve(
+        u, p, _ = StepSolver(mesh).momentum_solve(
             state_at(rho, rest), ops.mass_fluxes(rho, rest), mu_t, f, dt)
         dofs, u_expect, p_expect = _dense_stokes_oracle(mesh, rho_dual, mu, f, dt)
-        u_vec = dofs.pack([u.shaped(i) for i in range(2)])
+        u_vec = dofs.pack([u.shaped(i) for i in range(dim)])
         assert np.max(np.abs(u_vec - u_expect)) <= 1e-10
         assert np.max(np.abs(p.values - p_expect)) <= 1e-10
 
-    def test_methods_agree_with_convection(self, mesh33, rng):
-        rho = random_cells(mesh33, rng, 1.0, 2.0)
-        mu_t = ops.viscosity_tensor(rho, lambda r: 0.2 + 0.1 * r)
-        adv = random_velocity(mesh33, rng)
-        fluxes = ops.mass_fluxes(rho, adv)
-        f = [rng.uniform(-1, 1, mesh33.faces_shape(i)) for i in range(2)]
-        results = {}
-        for method in ("saddle", "nullspace"):
-            u, p, _ = StepSolver(mesh33, method).momentum_solve(
-                state_at(rho, adv), fluxes, mu_t, f, 0.05, scheme="upwind")
-            results[method] = (u, p)
-        for i in range(2):
-            assert np.allclose(results["saddle"][0].components[i],
-                               results["nullspace"][0].components[i],
-                               atol=1e-9)
-        assert np.allclose(results["saddle"][1].values,
-                           results["nullspace"][1].values, atol=1e-9)
+    def test_methods_agree_with_convection(self, rng):
+        # each route against the direct solve of the bordered system
+        for dim in (2, 3):
+            mesh = mesh3_in(dim)
+            rho = random_cells(mesh, rng, 1.0, 2.0)
+            mu_t = ops.viscosity_tensor(rho, lambda r: 0.2 + 0.1 * r)
+            adv = random_velocity(mesh, rng)
+            system = (state_at(rho, adv), ops.mass_fluxes(rho, adv), mu_t,
+                      [rng.uniform(-1, 1, mesh.faces_shape(i))
+                       for i in range(dim)], 0.05, "upwind")
+            u, p, _ = StepSolver(mesh).momentum_solve(*system)
+            u_ref, p_ref, _, _ = direct_saddle_solve(*system)
+            u_vec = ops.FaceDofMap(mesh).pack([u.shaped(i)
+                                               for i in range(dim)])
+            assert np.max(np.abs(u_vec - u_ref)) <= 1e-9
+            assert np.max(np.abs(p.values - p_ref)) <= 1e-9
 
 
 class TestStreamCurl:
@@ -582,12 +591,49 @@ class TestTypedErrors:
         est = info.value.condition_estimate
         assert est is not None and np.isfinite(est) and est >= 1.0
 
-    @pytest.mark.parametrize("method", ["saddle", "nullspace"])
-    def test_momentum_failure(self, mesh33, rng, monkeypatch, method):
-        solver = StepSolver(mesh33, method)
-        rho = random_cells(mesh33, rng, 1.0, 2.0)
+    def test_exact_transport_answer_above_tolerance(self, mesh33, rng,
+                                                    monkeypatch):
+        # BiCGSTAB stalls, and the exact link's answer is off in one cell:
+        # the error carries the diagonal ratio of the matrix, as a failed
+        # factorization does, and the relative residual
+        rho = random_cells(mesh33, rng, 0.5, 2.0)
+        u = random_velocity(mesh33, rng)
+        dt = 0.05
+        monkeypatch.setattr(spla, "bicgstab",
+                            KrylovStall(spla.bicgstab, stall_from=1))
+        real_splu = macflow.solver._splu
+
+        class OneCellOff:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                x = self.lu.solve(rhs)
+                x[0] += 1.0
+                return x
+
+        monkeypatch.setattr("macflow.solver._splu",
+                            lambda *args, **kwargs:
+                            OneCellOff(real_splu(*args, **kwargs)))
+        with pytest.raises(TransportSolveError) as info:
+            transport_solve(rho, u, dt)
+        A = ops.transport_matrix(mesh33, u, 1.0 / dt)
+        diag = np.abs(A.diagonal())
+        assert info.value.condition_estimate == pytest.approx(
+            diag.max() / diag.min(), rel=1e-14)
+        rhs = rho.values / dt
+        off = spla.spsolve(A.tocsc(), rhs)
+        off[0] += 1.0
+        assert info.value.residual == pytest.approx(
+            np.linalg.norm(A @ off - rhs) / np.linalg.norm(rhs), rel=1e-9)
+
+    @ROUTES
+    def test_momentum_failure(self, rng, monkeypatch, dim):
+        mesh = mesh3_in(dim)
+        solver = StepSolver(mesh)
+        rho = random_cells(mesh, rng, 1.0, 2.0)
         mu_t = ops.viscosity_tensor(rho, lambda r: 0.1 + 0.1 * r)
-        fluxes = ops.mass_fluxes(rho, random_velocity(mesh33, rng))
+        fluxes = ops.mass_fluxes(rho, random_velocity(mesh, rng))
         # on the saddle route GMRES stalls with the separable blocks, so
         # that the chain reaches its first SuperLU link; the reduced
         # route's first link is its factor
@@ -595,7 +641,7 @@ class TestTypedErrors:
         fault = SpluFault(spla.splu, fail_from=1)
         monkeypatch.setattr(spla, "splu", fault)
         with pytest.raises(LinearSolveError):
-            solver.momentum_solve(state_at(rho, VelocityField.zero(mesh33)),
+            solver.momentum_solve(state_at(rho, VelocityField.zero(mesh)),
                                   fluxes, mu_t, None, 0.05)
         assert fault.calls == 1
 
@@ -706,11 +752,10 @@ class TestLaggedFactor:
         assert lu_calls.calls == 1 and stats.factorizations == 2
         assert res <= linear_tol
         monkeypatch.undo()
-        u_ref, p_ref, _ = StepSolver(mesh, "saddle").momentum_solve(
-            prev, fluxes, mu_t, f, 0.05)
-        for i in range(2):
-            assert np.allclose(u.components[i], u_ref.components[i], atol=1e-9)
-        assert np.allclose(p.values, p_ref.values, atol=1e-9)
+        u_ref, p_ref, _, _ = direct_saddle_solve(prev, fluxes, mu_t, f, 0.05)
+        u_vec = solver.dofs.pack([u.shaped(i) for i in range(2)])
+        assert np.max(np.abs(u_vec - u_ref)) <= 1e-9
+        assert np.max(np.abs(p.values - p_ref)) <= 1e-9
 
     def test_reduced_system_factored_in_first_step_only(self):
         mesh = build_mesh([AxisPartition.uniform(0, 1, 16)] * 2)
