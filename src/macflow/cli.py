@@ -1,6 +1,7 @@
 """Batch entry point: run, convergence, verify.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure, 4
+Exit codes: 0 success, 2 configuration error (a viscosity law that is
+non-positive on the run's densities is one), 3 solver failure, 4
 verification failure.
 """
 
@@ -192,6 +193,12 @@ def main(argv=None):
             return _cmd_verify(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ops.ViscosityError as exc:
+        # transport answers are checked finite before the law sees them, so
+        # only the configured law itself can give non-positive viscosities
+        print(f"configuration error: problem.params.mu_law: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     raise AssertionError("unreachable")
 

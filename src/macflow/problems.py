@@ -184,10 +184,14 @@ def _problem(name, **params):
     return register
 
 
-def _require_unit_square(mesh, name):
+def _require_unit_box(mesh, name, dims):
+    """Reject a mesh that is not the unit box [0, 1]^d of a dimension d in
+    ``dims``."""
     lo, hi = mesh.bounds
-    if mesh.dim != 2 or not (np.allclose(lo, 0.0) and np.allclose(hi, 1.0)):
-        raise ValueError(f"problem {name!r} is defined on the unit square")
+    if mesh.dim not in dims or not (np.allclose(lo, 0.0)
+                                    and np.allclose(hi, 1.0)):
+        box = " or ".join({2: "square", 3: "cube"}[d] for d in dims)
+        raise ValueError(f"problem {name!r} is defined on the unit {box}")
 
 
 @_problem("mms_a", rho=(float, 1.0),
@@ -196,7 +200,7 @@ def _mms_a(mesh, params):
     """Constant density, stream-function velocity with double zeros on the
     boundary, smooth pressure; the forcing is the closed-form residual of the
     momentum equation."""
-    _require_unit_square(mesh, "mms_a")
+    _require_unit_box(mesh, "mms_a", (2,))
     if params["mu_law"].get("type") != "constant":
         raise ValueError("mms_a derives its forcing for a constant viscosity; "
                          "give 'mu_law' the type 'constant'")
@@ -244,38 +248,63 @@ def _mms_a(mesh, params):
     )
 
 
+# axis e of mms_b's 3d vortex A grad(g(x) g(y) g(z)) x e
+STIR_AXIS = np.array([1.0, 2.0, 2.0]) / 3.0
+
+
 @_problem("mms_b", velocity_amplitude=(float, 5.0), gravity=(float, 2.0),
           mu_law=(dict, {"type": "linear", "a": 0.1, "b": 0.05}))
 def _mms_b(mesh, params):
     """Smooth variable density stirred by a decaying vortex under frozen
-    buoyancy; no analytic solution, accuracy is judged against a fine-grid
-    run."""
-    _require_unit_square(mesh, "mms_b")
+    buoyancy along the last axis; no analytic solution, accuracy is judged
+    against a fine-grid run.  On the unit square the vortex is the stream
+    function A g(x) g(y); on the unit cube it is A grad(g(x) g(y) g(z)) x e
+    with e = ``STIR_AXIS``.  Either vanishes on every wall."""
+    _require_unit_box(mesh, "mms_b", (2, 3))
     amp, grav = params["velocity_amplitude"], params["gravity"]
     two_pi = 2.0 * math.pi
 
-    def rho0(x, y):
-        return 1.5 + 0.5 * np.sin(two_pi * x) * np.sin(two_pi * y)
+    if mesh.dim == 2:
+        def rho0(x, y):
+            return 1.5 + 0.5 * np.sin(two_pi * x) * np.sin(two_pi * y)
 
-    def u1(x, y):
-        return amp * _g(x) * _dg(y)
+        def u1(x, y):
+            return amp * _g(x) * _dg(y)
 
-    def u2(x, y):
-        return -amp * _dg(x) * _g(y)
+        def u2(x, y):
+            return -amp * _dg(x) * _g(y)
 
-    def f1(t, x, y):
-        return np.zeros_like(np.asarray(x, dtype=float))
+        u0 = (u1, u2)
+    else:
+        def rho0(x, y, z):
+            return 1.5 + 0.5 * (np.sin(two_pi * x) * np.sin(two_pi * y)
+                                * np.sin(two_pi * z))
 
-    def f2(t, x, y):
-        return -grav * (rho0(x, y) - 1.5)
+        def velocity(k):
+            a, b = (k + 1) % 3, (k + 2) % 3
+
+            def u(x, y, z):
+                gp = (_dg(x) * _g(y) * _g(z), _g(x) * _dg(y) * _g(z),
+                      _g(x) * _g(y) * _dg(z))
+                return amp * (gp[a] * STIR_AXIS[b] - gp[b] * STIR_AXIS[a])
+            return u
+
+        u0 = tuple(velocity(k) for k in range(3))
+
+    def zero(t, *X):
+        return np.zeros_like(np.asarray(X[0], dtype=float))
+
+    def buoyancy(t, *X):
+        return -grav * (rho0(*X) - 1.5)
 
     return Problem(
         name="mms_b",
         mesh=mesh,
         rho0=rho0,
-        u0=(u1, u2),
+        u0=u0,
         mu_law=viscosity_from_params(params),
-        forcing=(f1, f2) if grav != 0.0 else None,
+        forcing=((zero,) * (mesh.dim - 1) + (buoyancy,)
+                 if grav != 0.0 else None),
         time_independent_forcing=True,
     )
 

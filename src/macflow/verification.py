@@ -18,6 +18,7 @@ from .fields import (CellScalarField, VelocityField, _lp, norm_h1, norm_l2,
                      reconstruct_cell_to_face, reconstruct_face_to_cell,
                      reconstruct_face_to_pair, velocity_inner)
 from .mesh import MacMesh, _slab, mesh_metrics
+from .problems import _dg, _g
 
 __all__ = [
     "DiagnosticsRecord",
@@ -320,13 +321,6 @@ def check_fortin(mesh: MacMesh, order=7) -> dict:
     """Divergence preservation of the face-mean projection on polynomial
     fields vanishing on the boundary: div_M(proj v) equals the cell
     projection of div v, and is exactly zero for divergence-free v."""
-
-    def g(s):
-        return s ** 2 * (1.0 - s) ** 2
-
-    def dg(s):
-        return 2.0 * s - 6.0 * s ** 2 + 4.0 * s ** 3
-
     lo, hi = mesh.bounds
     span = hi - lo
 
@@ -335,10 +329,10 @@ def check_fortin(mesh: MacMesh, order=7) -> dict:
 
     # divergence-free stream-function field (third axis untouched in 3d)
     def u0(*X):
-        return g(xi(X[0], 0)) * dg(xi(X[1], 1)) / span[1]
+        return _g(xi(X[0], 0)) * _dg(xi(X[1], 1)) / span[1]
 
     def u1(*X):
-        return -dg(xi(X[0], 0)) / span[0] * g(xi(X[1], 1))
+        return -_dg(xi(X[0], 0)) / span[0] * _g(xi(X[1], 1))
 
     comps = [u0, u1] + [lambda *X: np.zeros_like(X[0])] * (mesh.dim - 2)
     proj = project_face(mesh, comps, variant="fortin", order=order)
@@ -348,16 +342,16 @@ def check_fortin(mesh: MacMesh, order=7) -> dict:
     def w0(*X):
         out = np.ones_like(X[0])
         for a in range(mesh.dim):
-            out = out * g(xi(X[a], a))
+            out = out * _g(xi(X[a], a))
         return out
 
     comps_w = [w0] * mesh.dim
 
     def div_fn(*X):
         total = np.zeros_like(X[0])
-        prod = [g(xi(X[a], a)) for a in range(mesh.dim)]
+        prod = [_g(xi(X[a], a)) for a in range(mesh.dim)]
         for a in range(mesh.dim):
-            term = dg(xi(X[a], a)) / span[a]
+            term = _dg(xi(X[a], a)) / span[a]
             for b in range(mesh.dim):
                 if b != a:
                     term = term * prod[b]

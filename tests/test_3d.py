@@ -4,6 +4,7 @@ solve: block-preconditioned GMRES with held preconditioner blocks and its
 fallback chain."""
 
 import gc
+import os
 import weakref
 
 import numpy as np
@@ -17,15 +18,18 @@ from conftest import (GMRES, TRANSPORT, KrylovStall, SpluFault,
                       rhs_preconditionings, same_velocity, state_at,
                       true_fill, warm_started_solve)
 from macflow import operators as ops
+from macflow.config import load_config
 from macflow.fields import CellScalarField, VelocityField, norm_h1
 from macflow.mesh import AxisPartition, build_mesh
-from macflow.problems import Problem, linear_viscosity
+from macflow.problems import Problem, linear_viscosity, make_problem
 from macflow import solver as solver_module
 from macflow.solver import (LinearSolve, LinearSolveError, SolverConfig,
                             SolverError, StepSolver, StepStats,
                             _gmres, advance_timestep, initial_state,
                             run_simulation, transport_solve)
-from macflow.verification import check_dualities
+from macflow.verification import check_dualities, velocity_estimate_bounds
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 @pytest.fixture(scope="module")
@@ -81,43 +85,27 @@ def stretched_mesh(n):
     return build_mesh([AxisPartition.geometric(0.0, 1.0, n, 3.0)] * 3)
 
 
-def _g(s):
-    return s * s * (1.0 - s) ** 2
-
-
-def _dg(s):
-    return 2.0 * s - 6.0 * s ** 2 + 4.0 * s ** 3
-
-
 def stirred_problem(mesh):
-    """A solenoidal vortex u = 60 grad(g(x) g(y) g(z)) x e, which vanishes
-    on every wall, in a sinusoidal density under buoyancy along z."""
-    axis = np.array([1.0, 2.0, 2.0]) / 3.0
+    """mms_b on the unit cube: a solenoidal vortex
+    u = 60 grad(g(x) g(y) g(z)) x e, which vanishes on every wall, in a
+    sinusoidal density under buoyancy along z."""
+    return make_problem("mms_b", mesh, {"velocity_amplitude": 60.0})
 
-    def velocity(k):
-        a, b = (k + 1) % 3, (k + 2) % 3
 
-        def u(x, y, z):
-            gp = (_dg(x) * _g(y) * _g(z), _g(x) * _dg(y) * _g(z),
-                  _g(x) * _g(y) * _dg(z))
-            return 60.0 * (gp[a] * axis[b] - gp[b] * axis[a])
-        return u
-
-    def rho0(x, y, z):
-        return 1.5 + 0.5 * (np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
-                            * np.sin(2 * np.pi * z))
-
-    def zero(t, x, y, z):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def buoyancy(t, x, y, z):
-        return -2.0 * (rho0(x, y, z) - 1.5)
-
-    return Problem(name="stirred", mesh=mesh, rho0=rho0,
-                   u0=(velocity(0), velocity(1), velocity(2)),
-                   mu_law=linear_viscosity(0.1, 0.05),
-                   forcing=(zero, zero, buoyancy),
-                   time_independent_forcing=True)
+def test_shipped_stirred_config_runs_clean():
+    # configs/stir-3d.json: mms_b on a uniform 10^3 unit cube, 3 steps
+    setup = load_config(os.path.join(CONFIGS, "stir-3d.json"))
+    problem = setup.problem
+    assert setup.mesh.dim == 3
+    lo, hi = initial_state(setup.mesh, problem.rho0, problem.u0).rho_bounds
+    result = run_simulation(problem, setup.solver)
+    assert len(result.records) == 3
+    slack = 1e-12 * max(abs(lo), abs(hi), 1.0)
+    for record in result.records:
+        assert record.violations == ()
+        assert lo - slack <= record.rho_min <= record.rho_max <= hi + slack
+    est = velocity_estimate_bounds(result, problem.mu_law)
+    assert est["linf_l2_satisfied"] and est["l2_h1_satisfied"]
 
 
 class TestBlockPreconditionedSaddle:

@@ -272,6 +272,24 @@ class TestRunCommand:
                      "--output-dir", str(tmp_path / "o")]) == 2
         assert f"configuration error: {key_path}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "convergence"])
+    def test_non_positive_viscosity_law_exit_code(self, tmp_path, capsys,
+                                                  command):
+        # mu = -0.5 + 0.1 rho is negative on mms_b's densities in [1, 2];
+        # the config loads, and the law fails at the first step
+        cfg = small_run_config(
+            tmp_path,
+            problem={"name": "mms_b", "params": {
+                "mu_law": {"type": "linear", "a": -0.5, "b": 0.1}}},
+            solver={"dt": 0.05, "t_end": 0.05},
+            convergence={"levels": [4, 6, 8], "dt_coarsest": 0.05,
+                         "t_end": 0.05, "reference_n": 12})
+        load_config(cfg)
+        assert main([command, "--config", cfg,
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        assert ("configuration error: problem.params.mu_law: viscosity law "
+                "produced non-positive" in capsys.readouterr().err)
+
     def test_flagged_violation_exit_code(self, tmp_path, monkeypatch, capsys):
         from macflow import verification
         real = verification.step_audit

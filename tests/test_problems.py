@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from macflow import operators as ops
+from macflow.fields import project_face
 from macflow.mesh import AxisPartition, build_mesh
 from macflow.problems import (_PROBLEMS, constant_viscosity,
                               linear_viscosity, make_problem, table_viscosity,
                               viscosity_from_params)
+from macflow.solver import SolverConfig
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +128,16 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unit square"):
             make_problem("mms_a", mesh)
 
+    def test_mms_b_requires_unit_square_or_cube(self):
+        mesh = build_mesh([[0.0, 1.0, 2.0]] * 3)
+        with pytest.raises(ValueError, match="unit square or cube"):
+            make_problem("mms_b", mesh)
+
+    def test_mms_a_stays_on_unit_square(self):
+        mesh = build_mesh([AxisPartition.uniform(0, 1, 2)] * 3)
+        with pytest.raises(ValueError, match="unit square$"):
+            make_problem("mms_a", mesh)
+
 
 def _fd_grad(fn, t, x, y, h=1e-4):
     # 4th-order central differences
@@ -233,6 +246,36 @@ class TestManufacturedSolutionB:
         f = problem.forcing[1]
         x = np.array([0.3])
         assert f(0.0, x, x) == f(17.0, x, x)
+
+
+class TestManufacturedSolutionB3d:
+    """mms_b on a stretched unit cube: the vortex A grad(g(x) g(y) g(z)) x e
+    in a sinusoidal density under buoyancy along z."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        mesh = build_mesh([AxisPartition.geometric(0.0, 1.0, 6, 3.0)] * 3)
+        return make_problem("mms_b", mesh)
+
+    def test_velocity_vanishes_on_every_wall(self, problem):
+        s = np.linspace(0.0, 1.0, 17)
+        a, b = np.meshgrid(s, s)
+        for axis in range(3):
+            for wall in (0.0, 1.0):
+                X = [a, b]
+                X.insert(axis, np.full_like(a, wall))
+                for u in problem.u0:
+                    assert np.all(u(*X) == 0.0)
+
+    def test_fortin_projection_is_divergence_free(self, problem):
+        proj = project_face(problem.mesh, problem.u0, variant="fortin",
+                            order=7)
+        assert np.max(np.abs(ops.divergence(proj).values)) <= 1e-12
+
+    def test_buoyancy_along_last_axis_only(self, problem):
+        f = problem.forcing_faces(0.02, SolverConfig(dt=0.02, t_end=0.02))
+        assert not np.any(f[0]) and not np.any(f[1])
+        assert np.any(f[2])
 
 
 class TestRayleighTaylor:
